@@ -14,16 +14,15 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 from typing import Any
 
-import numpy as np
-
 from .errors import InvalidParameter, ParseError, SynthesisError, ValidationError
 from .gates import GateKind, cross_validate, truth_table_for
 from .report import resource_report
-from .serialize import emit_matrix, parse_truth_table
+from .serialize import emit_matrix, matrix_document, parse_truth_table
 from .sim import BASIS_TOLERANCE, evaluate_continuous
 from .synth import QhcGate, TruthTable, format_bits, synthesize, verify
 
@@ -40,17 +39,8 @@ def _resolve_table(gate: str) -> TruthTable:
     return _read_table(gate)
 
 
-def _matrix_doc(matrix: np.ndarray) -> dict[str, Any]:
-    return {
-        "dim": matrix.shape[0],
-        "entries": [
-            [{"re": float(e.real), "im": float(e.imag)} for e in row] for row in matrix
-        ],
-    }
-
-
 def _emit(doc: dict[str, Any]) -> None:
-    json.dump(doc, sys.stdout, indent=2)
+    json.dump(doc, sys.stdout, indent=2, allow_nan=False)
     sys.stdout.write("\n")
 
 
@@ -61,6 +51,13 @@ def _parse_inputs(text: str) -> list[float]:
         raise argparse.ArgumentTypeError(
             f"expected comma-separated numbers, got {text!r}"
         ) from None
+
+
+def _tolerance(text: str) -> float:
+    value = float(text)
+    if not (math.isfinite(value) and value >= 0.0):
+        raise argparse.ArgumentTypeError(f"tolerance must be finite and >= 0, got {text!r}")
+    return value
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:
@@ -82,7 +79,7 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     if args.emit_u is not None:
         doc["unitary"] = {
             "parameter": args.emit_u,
-            "matrix": _matrix_doc(gate.unitary(args.emit_u)),
+            "matrix": matrix_document(gate.unitary(args.emit_u)),
         }
     _emit(doc)
     return 0 if check.passed else 1
@@ -182,7 +179,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         help="include the unitary at this parameter sum in the output",
     )
-    synth.add_argument("--tolerance", type=float, default=1e-9)
+    synth.add_argument("--tolerance", type=_tolerance, default=1e-9)
     synth.set_defaults(handler=_cmd_synth)
 
     simulate = sub.add_parser("simulate", help="apply a gate to the all-zeros state")
@@ -199,7 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     simulate.add_argument(
         "--tolerance",
-        type=float,
+        type=_tolerance,
         default=BASIS_TOLERANCE,
         help="probability margin for reporting a sharp basis outcome",
     )
@@ -208,7 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify_cmd = sub.add_parser("verify", help="check a built-in gate both ways")
     verify_cmd.add_argument("--gate", required=True, choices=_BUILTIN_GATES)
     verify_cmd.add_argument("--grid", type=int, default=101, help="cross-check grid points")
-    verify_cmd.add_argument("--tolerance", type=float, default=1e-9)
+    verify_cmd.add_argument("--tolerance", type=_tolerance, default=1e-9)
     verify_cmd.set_defaults(handler=_cmd_verify)
 
     report = sub.add_parser("report", help="compare qubit budgets against baselines")

@@ -243,8 +243,3 @@ def truth_table_for(kind: GateKind) -> TruthTable:
     if kind is GateKind.HALF_ADDER:
         return half_adder_truth_table()
     return full_adder_truth_table()
-
-
-def orbit_for(kind: GateKind) -> tuple[int, ...]:
-    """Basis-cycle orbit realizing the built-in gate's truth table."""
-    return _orbit_of(kind)

@@ -1,13 +1,12 @@
-"""Dense complex linear algebra for small Hilbert spaces.
+"""Exact spectra of cycle permutations and the unitaries they generate.
 
-The centerpiece is the exact eigensystem of a cycle permutation: the matrix
-that cyclically shifts a chosen orbit of basis indices and fixes the rest.
-Its eigenvectors are discrete Fourier vectors supported on the orbit, so the
-spectrum is written down directly instead of going through a general-purpose
-eigensolver, and the eigenangles land on the principal branch (-pi, pi] by
-construction.  From that spectrum the one-parameter unitary family
-``U(s) = exp(-i s H)`` and its Hermitian generator ``H`` follow in closed
-form.
+A cycle permutation shifts a chosen orbit of basis indices and fixes the
+rest.  Its eigenvectors are discrete Fourier vectors supported on the orbit,
+so the spectrum is written down directly, with eigenangles on the principal
+branch (-pi, pi] by construction.  Every function of the permutation is
+therefore the identity (or zero) off the orbit and a circulant on it: one
+orbit column, computed by a single FFT, fixes ``U(s) = exp(-i s H)``, and
+the dense ``U(s)`` and ``H`` are scattered from such columns.
 
 Everything here is a pure function over immutable values; results can be
 shared across threads freely.
@@ -21,45 +20,26 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DimensionError, InvalidOrbit, InvalidParameter
+from .errors import InvalidOrbit, InvalidParameter
 
 
 @dataclass(frozen=True)
 class SpectralDecomposition:
-    """Eigensystem of a permutation acting as one cyclic orbit.
+    """Eigensystem of a permutation acting as one cyclic orbit of length L.
 
-    ``vectors`` holds one orthonormal eigenvector per column; column ``j``
-    belongs to eigenangle ``angles[j]``, so the decomposed matrix is
-    ``vectors @ diag(exp(i * angles)) @ vectors.conj().T``.  ``fixed_indices``
-    lists the basis states the permutation leaves untouched; each appears as
-    a standard-basis column with angle exactly 0.
+    ``angles[j]`` belongs to the discrete Fourier vector whose entry at
+    ``orbit[m]`` is ``exp(-2*pi*i*j*m/L) / sqrt(L)`` and which is zero off
+    the orbit.  Every basis state off the orbit is an eigenvector with angle
+    exactly 0, so only the L on-orbit angles are stored.
     """
 
     dim: int
+    orbit: tuple[int, ...]
     angles: np.ndarray
-    vectors: np.ndarray
-    fixed_indices: tuple[int, ...]
 
     def __post_init__(self) -> None:
         # Shared, long-lived spectral data must never be mutated in place.
         self.angles.setflags(write=False)
-        self.vectors.setflags(write=False)
-
-
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Product of two square matrices of equal dimension."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionError(f"left operand is not square: shape {a.shape}")
-    if b.shape != a.shape:
-        raise DimensionError(f"operand shapes differ: {a.shape} vs {b.shape}")
-    return a @ b
-
-
-def adjoint(a: np.ndarray) -> np.ndarray:
-    """Conjugate transpose; an exact involution."""
-    return np.asarray(a).conj().T.copy()
 
 
 def unitarity_defect(a: np.ndarray) -> float:
@@ -75,8 +55,7 @@ def cycle_spectrum(orbit: Sequence[int], dim: int) -> SpectralDecomposition:
     The permutation sends ``orbit[j]`` to ``orbit[j + 1]`` (wrapping at the
     end) and fixes every other index.  On an orbit of length L the
     eigenvalues are the L-th roots of unity; their angles ``2*pi*j/L`` are
-    reduced to (-pi, pi], with the eigenvalue -1 assigned +pi.  Off-orbit
-    indices contribute angle 0 with standard-basis eigenvectors.
+    reduced to (-pi, pi], with the eigenvalue -1 assigned +pi.
     """
     if dim < 1:
         raise InvalidOrbit(f"dimension must be positive, got {dim}")
@@ -94,19 +73,36 @@ def cycle_spectrum(orbit: Sequence[int], dim: int) -> SpectralDecomposition:
     # Signed numerator keeps the wrapped angles exactly representable
     # (e.g. 0, pi/2, pi, -pi/2 for a 4-cycle).
     signed = np.where(2 * modes > length, modes - length, modes)
-    angles = np.zeros(dim)
-    angles[:length] = 2.0 * np.pi * signed / length
+    angles = 2.0 * np.pi * signed / length
+    return SpectralDecomposition(dim=dim, orbit=orbit, angles=angles)
 
-    vectors = np.zeros((dim, dim), dtype=complex)
-    steps = np.arange(length)
-    vectors[np.array(orbit)[:, None], modes[None, :]] = np.exp(
-        -2j * np.pi * np.outer(steps, modes) / length
-    ) / math.sqrt(length)
 
-    fixed = tuple(i for i in range(dim) if i not in set(orbit))
-    for column, index in enumerate(fixed, start=length):
-        vectors[index, column] = 1.0
-    return SpectralDecomposition(dim=dim, angles=angles, vectors=vectors, fixed_indices=fixed)
+def orbit_column(spectrum: SpectralDecomposition, s: float) -> np.ndarray:
+    """Column ``orbit[0]`` of ``U(s)`` at orbit positions 0..L-1.
+
+    Equals ``DFT(exp(i * s * angles)) / L``; ``U(s)`` maps ``orbit[b]`` to
+    ``orbit[a]`` with amplitude ``column[(a - b) mod L]``.
+    """
+    s = float(s)
+    if not math.isfinite(s):
+        raise InvalidParameter(f"evolution parameter must be finite, got {s}")
+    length = len(spectrum.angles)
+    # L * angles[j] is a multiple of 2*pi, so U has period L.  fmod is exact,
+    # so the reduction keeps the phases accurate however large s is.
+    s = math.fmod(s, length)
+    return np.fft.fft(np.exp(1j * s * spectrum.angles)) / length
+
+
+def _circulant_on_orbit(
+    spectrum: SpectralDecomposition, column: np.ndarray, off_orbit: float
+) -> np.ndarray:
+    """Dense matrix: circulant ``column`` on the orbit, ``off_orbit`` * I elsewhere."""
+    matrix = np.zeros((spectrum.dim, spectrum.dim), dtype=complex)
+    np.fill_diagonal(matrix, off_orbit)
+    index = np.array(spectrum.orbit)
+    steps = np.arange(len(index))
+    matrix[index[:, None], index[None, :]] = column[(steps[:, None] - steps[None, :]) % len(index)]
+    return matrix
 
 
 def exp_from_spectrum(spectrum: SpectralDecomposition, s: float) -> np.ndarray:
@@ -116,11 +112,7 @@ def exp_from_spectrum(spectrum: SpectralDecomposition, s: float) -> np.ndarray:
     ``U(0)`` is the identity, ``U(1)`` is the decomposed permutation itself,
     and the family obeys the group law ``U(s1) @ U(s2) == U(s1 + s2)``.
     """
-    s = float(s)
-    if not math.isfinite(s):
-        raise InvalidParameter(f"evolution parameter must be finite, got {s}")
-    phases = np.exp(1j * s * spectrum.angles)
-    return (spectrum.vectors * phases) @ spectrum.vectors.conj().T
+    return _circulant_on_orbit(spectrum, orbit_column(spectrum, s), 1.0)
 
 
 def hermitian_generator(spectrum: SpectralDecomposition) -> np.ndarray:
@@ -129,4 +121,5 @@ def hermitian_generator(spectrum: SpectralDecomposition) -> np.ndarray:
     ``H`` weights each eigenvector by minus its eigenangle; it equals i times
     the principal logarithm of the decomposed permutation.
     """
-    return (spectrum.vectors * -spectrum.angles) @ spectrum.vectors.conj().T
+    column = -np.fft.fft(spectrum.angles) / len(spectrum.angles)
+    return _circulant_on_orbit(spectrum, column, 0.0)

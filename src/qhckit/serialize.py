@@ -116,29 +116,38 @@ def _real_text(value: float) -> str:
     return text[:-2] if text.endswith(".0") else text
 
 
-def _csv_cell(entry: complex) -> str:
-    re, im = entry.real, entry.imag
+def _csv_cell(cell: dict[str, float]) -> str:
+    re, im = cell["re"], cell["im"]
     sign = "-" if im < 0.0 else "+"
     return f"{_real_text(re)}{sign}{_real_text(abs(im))}i"
 
 
-def emit_matrix(matrix: np.ndarray, fmt: str = "json") -> str:
-    """Serialize a complex matrix as 'json' or 'csv', one row per line."""
+def matrix_document(matrix: np.ndarray) -> dict[str, Any]:
+    """The JSON matrix layout as an object; every emitted matrix goes through it."""
     matrix = np.asarray(matrix, dtype=complex)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise InvalidParameter(f"matrix must be square, got shape {matrix.shape}")
     if not np.all(np.isfinite(matrix)):
         raise InvalidParameter("matrix entries must be finite")
-    dim = matrix.shape[0]
+    return {
+        "dim": matrix.shape[0],
+        "entries": [
+            [{"re": float(e.real), "im": float(e.imag)} for e in row] for row in matrix
+        ],
+    }
+
+
+def emit_matrix(matrix: np.ndarray, fmt: str = "json") -> str:
+    """Serialize a complex matrix as 'json' or 'csv', one row per line."""
+    doc = matrix_document(matrix)
     if fmt == "csv":
-        return "\n".join(",".join(_csv_cell(e) for e in row) for row in matrix) + "\n"
+        return "\n".join(",".join(_csv_cell(c) for c in row) for row in doc["entries"]) + "\n"
     if fmt != "json":
         raise InvalidParameter(f"unknown matrix format {fmt!r}")
-    lines = ["{", f'  "dim": {dim},', '  "entries": [']
-    for r, row in enumerate(matrix):
-        cells = json.dumps([{"re": float(e.real), "im": float(e.imag)} for e in row])
-        comma = "," if r + 1 < dim else ""
-        lines.append(f"    {cells}{comma}")
+    lines = ["{", f'  "dim": {doc["dim"]},', '  "entries": [']
+    for r, cells in enumerate(doc["entries"]):
+        comma = "," if r + 1 < doc["dim"] else ""
+        lines.append(f"    {json.dumps(cells)}{comma}")
     lines += ["  ]", "}", ""]
     return "\n".join(lines)
 

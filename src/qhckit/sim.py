@@ -110,6 +110,4 @@ def evaluate_continuous(
         )
     if not all(math.isfinite(x) for x in values):
         raise InvalidParameter(f"inputs must be finite, got {values}")
-    bits = (gate.dim - 1).bit_length()
-    state = apply(gate.unitary(sum(values)), initial_state(bits))
-    return decode(state, tolerance)
+    return decode(gate.state(sum(values)), tolerance)

@@ -5,7 +5,13 @@ import sys
 import numpy as np
 import pytest
 
-from qhckit import emit_truth_table, full_adder_truth_table, half_adder_truth_table, parse_matrix
+from qhckit import (
+    emit_truth_table,
+    full_adder_truth_table,
+    half_adder_truth_table,
+    parse_matrix,
+    synthesize,
+)
 from qhckit.cli import main
 
 NON_SYMMETRIC_DOC = """\
@@ -59,9 +65,45 @@ def test_synth_emits_generator_and_unitary(half_table_file, tmp_path, capsys):
     doc = json.loads(out)
     assert doc["unitary"]["parameter"] == 1.0
     matrix = doc["unitary"]["matrix"]
+    exact = synthesize(half_adder_truth_table()).unitary(1.0)
+    assert np.array_equal(parse_matrix(json.dumps(matrix)), exact)
     column = [row[0] for row in matrix["entries"]]
     reals = [cell["re"] for cell in column]
     assert np.max(np.abs(np.array(reals) - [0, 1, 0, 0])) < 1e-9
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-finite literal {name}")
+
+
+@pytest.mark.parametrize("command", ["synth", "simulate"])
+def test_huge_parameters_give_finite_json(command, half_table_file, capsys):
+    argv = {
+        "synth": ["synth", "--table", half_table_file, "--emit-u", "1e308"],
+        "simulate": ["simulate", "--gate", "half-adder", "--inputs", "1e300,1e300"],
+    }[command]
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0
+    doc = json.loads(out, parse_constant=_reject_constant)
+    # Both sums are whole numbers, so the gate acts as a power of its cycle.
+    if command == "synth":
+        magnitudes = np.abs(parse_matrix(json.dumps(doc["unitary"]["matrix"])))
+        assert np.max(np.abs(magnitudes - np.round(magnitudes))) < 1e-9
+    else:
+        assert doc["is_basis"] is True
+
+
+@pytest.mark.parametrize("command", ["synth", "simulate", "verify"])
+def test_bad_tolerance_exits_2(command, half_table_file, capsys):
+    base = {
+        "synth": ["synth", "--table", half_table_file],
+        "simulate": ["simulate", "--gate", "half-adder", "--inputs", "1,0"],
+        "verify": ["verify", "--gate", "half-adder"],
+    }[command]
+    for value in ("nan", "inf", "-1e-9", "x"):
+        code, _, err = run_cli([*base, f"--tolerance={value}"], capsys)
+        assert code == 2
+        assert "tolerance" in err
 
 
 def test_synth_emits_csv_generator(half_table_file, tmp_path, capsys):

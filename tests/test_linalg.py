@@ -3,20 +3,33 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qhckit import (
-    DimensionError,
     InvalidOrbit,
     InvalidParameter,
-    adjoint,
     cycle_spectrum,
     exp_from_spectrum,
     hermitian_generator,
-    matmul,
     unitarity_defect,
 )
 
 from oracles import orbit_permutation
+
+
+def fourier_vectors(orbit, dim):
+    """Eigenvectors as columns: the DFT vector of ``angles[j]`` on the orbit
+    in column j, then one standard-basis column per off-orbit state."""
+    length = len(orbit)
+    vectors = np.zeros((dim, dim), dtype=complex)
+    for j in range(length):
+        for m, index in enumerate(orbit):
+            vectors[index, j] = np.exp(-2j * np.pi * j * m / length) / math.sqrt(length)
+    off_orbit = [i for i in range(dim) if i not in orbit]
+    for column, index in enumerate(off_orbit, start=length):
+        vectors[index, column] = 1.0
+    return vectors
 
 
 def test_four_cycle_angles_are_exact():
@@ -26,12 +39,11 @@ def test_four_cycle_angles_are_exact():
 
 def test_three_cycle_spectrum_layout():
     spectrum = cycle_spectrum((0, 1, 3), 4)
-    assert spectrum.fixed_indices == (2,)
-    # fixed index contributes angle 0 with a standard-basis eigenvector
-    assert spectrum.angles[3] == 0.0
-    assert np.array_equal(spectrum.vectors[:, 3], np.array([0, 0, 1, 0], dtype=complex))
-    on_orbit = np.abs(spectrum.vectors[[0, 1, 3], :3])
-    assert np.max(np.abs(on_orbit - 1 / math.sqrt(3))) < 1e-12
+    assert spectrum.orbit == (0, 1, 3) and len(spectrum.angles) == 3
+    # the fixed index 2 has angle 0, so U(s) leaves it exactly in place
+    e2 = np.array([0, 0, 1, 0], dtype=complex)
+    u = exp_from_spectrum(spectrum, 0.37)
+    assert np.array_equal(u[:, 2], e2) and np.array_equal(u[2, :], e2)
 
 
 @pytest.mark.parametrize(
@@ -48,25 +60,35 @@ def test_eigen_equation_holds_columnwise():
     orbit = (0, 1, 3)
     spectrum = cycle_spectrum(orbit, 4)
     matrix = orbit_permutation(orbit, 4)
+    vectors = fourier_vectors(orbit, 4)
+    angles = np.concatenate([spectrum.angles, [0.0]])
     for j in range(4):
-        left = matrix @ spectrum.vectors[:, j]
-        right = np.exp(1j * spectrum.angles[j]) * spectrum.vectors[:, j]
+        left = matrix @ vectors[:, j]
+        right = np.exp(1j * angles[j]) * vectors[:, j]
         assert np.max(np.abs(left - right)) < 1e-12
 
 
 def test_eigenvectors_are_orthonormal():
-    spectrum = cycle_spectrum((0, 1, 3), 4)
-    gram = spectrum.vectors.conj().T @ spectrum.vectors
-    assert np.max(np.abs(gram - np.eye(4))) < 1e-12
+    orbit, dim = (2, 0, 5, 1), 8
+    spectrum = cycle_spectrum(orbit, dim)
+    vectors = fourier_vectors(orbit, dim)
+    gram = vectors.conj().T @ vectors
+    assert np.max(np.abs(gram - np.eye(dim))) < 1e-12
+    angles = np.concatenate([spectrum.angles, np.zeros(dim - len(orbit))])
+    for s in (0.3, -2.6):
+        expected = (vectors * np.exp(1j * s * angles)) @ vectors.conj().T
+        assert np.max(np.abs(exp_from_spectrum(spectrum, s) - expected)) < 1e-12
 
 
 def test_exp_agrees_with_scipy_expm():
-    spectrum = cycle_spectrum((0, 1, 2, 3), 4)
-    h = hermitian_generator(spectrum)
-    for s in (0.0, 0.5, 1.0, 2.75, -1.25):
-        direct = exp_from_spectrum(spectrum, s)
-        reference = scipy.linalg.expm(-1j * s * h)
-        assert np.max(np.abs(direct - reference)) < 1e-12
+    # (2, 0, 5, 1) and (0, 1, 3) leave states off the orbit, which must stay fixed
+    for orbit, dim in (((0, 1, 2, 3), 4), ((2, 0, 5, 1), 8), ((0, 1, 3), 4)):
+        spectrum = cycle_spectrum(orbit, dim)
+        h = hermitian_generator(spectrum)
+        for s in (0.0, 0.5, 1.0, 2.75, -1.25):
+            direct = exp_from_spectrum(spectrum, s)
+            reference = scipy.linalg.expm(-1j * s * h)
+            assert np.max(np.abs(direct - reference)) < 1e-12
 
 
 def test_generator_is_hermitian_with_principal_angles():
@@ -114,27 +136,23 @@ def test_non_finite_parameter_rejected():
         exp_from_spectrum(spectrum, math.inf)
 
 
+@settings(max_examples=400, deadline=None)
+@given(
+    case=st.sampled_from([((0, 1, 3), 4), ((0, 1, 2, 3), 4), ((2, 0, 5, 1), 8), ((1,), 2)]),
+    s=st.floats(-1e15, 1e15),
+)
+def test_period_holds_for_large_parameters(case, s):
+    spectrum = cycle_spectrum(*case)
+    shifted = s + len(spectrum.orbit)
+    gap = np.max(np.abs(exp_from_spectrum(spectrum, shifted) - exp_from_spectrum(spectrum, s)))
+    assert gap < 1e-10
+
+
 def test_spectrum_arrays_are_frozen():
     spectrum = cycle_spectrum((0, 1), 2)
     with pytest.raises(ValueError):
         spectrum.angles[0] = 1.0
-    with pytest.raises(ValueError):
-        spectrum.vectors[0, 0] = 1.0
-
-
-def test_matmul_checks_shapes():
-    with pytest.raises(DimensionError):
-        matmul(np.zeros((2, 3)), np.zeros((3, 3)))
-    with pytest.raises(DimensionError):
-        matmul(np.zeros((2, 2)), np.zeros((3, 3)))
-    product = matmul(np.eye(2), 2 * np.eye(2))
-    assert np.array_equal(product, 2 * np.eye(2))
-
-
-def test_adjoint_is_an_involution():
-    rng = np.random.default_rng(7)
-    m = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-    assert np.array_equal(adjoint(adjoint(m)), m)
+    assert isinstance(spectrum.orbit, tuple)
 
 
 def test_unitarity_defect_values():

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,6 +15,7 @@ from qhckit import (
     TruthTable,
     ValidationError,
     analyze_symmetry,
+    evaluate_continuous,
     find_cycle,
     full_adder_truth_table,
     half_adder_truth_table,
@@ -182,6 +185,25 @@ def test_synthesis_agrees_with_brute_force(input_count, qubits, data):
         return
     assert witnesses
     assert verify(gate, table).passed
+    s = data.draw(st.floats(-8, 8))
+    assert np.max(np.abs(gate.state(s) - gate.unitary(s)[:, 0])) < 1e-12
     u1 = gate.unitary(1.0)
     gaps = [np.max(np.abs(u1 - permutation_matrix(perm))) for perm in witnesses]
     assert min(gaps) < 1e-9
+
+
+def test_large_register_needs_no_dense_matrix():
+    # N = 12 gives d = 4096; one dense complex U would take 256 MiB.
+    labels = tuple(index_to_label(i, 12) for i in (0, 1, 4095, 2048))
+    table = weight_table(labels, 3)
+    tracemalloc.start()
+    try:
+        gate = synthesize(table)
+        report = verify(gate, table)
+        outcome = evaluate_continuous(gate, (1.0, 0.5, 0.25))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.passed and len(report.rows) == 8
+    assert outcome.label is None and abs(sum(outcome.probabilities) - 1.0) < 1e-10
+    assert peak < 16 * 2**20
