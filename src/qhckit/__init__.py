@@ -23,22 +23,13 @@ from .errors import (
 )
 from .gates import (
     FULL_ADDER_ORBIT,
-    FULL_ADDER_WEIGHT_LABELS,
     HALF_ADDER_ORBIT,
-    HALF_ADDER_WEIGHT_LABELS,
-    FullAdderCoefficients,
     GateKind,
-    HalfAdderCoefficients,
     cross_validate,
-    four_cycle_generator,
-    four_cycle_matrix,
     full_adder_closed_form,
-    full_adder_coefficients,
     full_adder_truth_table,
     half_adder_closed_form,
-    half_adder_coefficients,
     half_adder_truth_table,
-    truth_table_for,
 )
 from .linalg import (
     SpectralDecomposition,
@@ -55,7 +46,6 @@ from .sim import (
     apply,
     decode,
     evaluate_continuous,
-    initial_state,
 )
 from .synth import (
     CyclePermutation,
@@ -81,12 +71,8 @@ __all__ = [
     "DecodedOutcome",
     "DimensionError",
     "FULL_ADDER_ORBIT",
-    "FULL_ADDER_WEIGHT_LABELS",
-    "FullAdderCoefficients",
     "GateKind",
     "HALF_ADDER_ORBIT",
-    "HALF_ADDER_WEIGHT_LABELS",
-    "HalfAdderCoefficients",
     "InitialStateMismatch",
     "InvalidOrbit",
     "InvalidParameter",
@@ -115,24 +101,18 @@ __all__ = [
     "evaluate_continuous",
     "exp_from_spectrum",
     "find_cycle",
-    "four_cycle_generator",
-    "four_cycle_matrix",
     "full_adder_closed_form",
-    "full_adder_coefficients",
     "full_adder_truth_table",
     "half_adder_closed_form",
-    "half_adder_coefficients",
     "half_adder_truth_table",
     "hermitian_generator",
     "index_to_label",
-    "initial_state",
     "label_to_index",
     "parse_matrix",
     "parse_truth_table",
     "qubit_count",
     "resource_report",
     "synthesize",
-    "truth_table_for",
     "unitarity_defect",
     "verify",
 ]

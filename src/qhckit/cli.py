@@ -20,7 +20,7 @@ from pathlib import Path
 from typing import Any
 
 from .errors import InvalidParameter, ParseError, SynthesisError, ValidationError
-from .gates import GateKind, cross_validate, truth_table_for
+from .gates import BUILTINS, GateKind, cross_validate
 from .report import resource_report
 from .serialize import emit_matrix, matrix_document, parse_truth_table
 from .sim import BASIS_TOLERANCE, evaluate_continuous
@@ -35,7 +35,7 @@ def _read_table(path: str) -> TruthTable:
 
 def _resolve_table(gate: str) -> TruthTable:
     if gate in _BUILTIN_GATES:
-        return truth_table_for(GateKind(gate))
+        return BUILTINS[GateKind(gate)].truth_table()
     return _read_table(gate)
 
 
@@ -104,7 +104,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     kind = GateKind(args.gate)
-    table = truth_table_for(kind)
+    table = BUILTINS[kind].truth_table()
     gate: QhcGate = synthesize(table)
     check = verify(gate, table, tolerance=args.tolerance)
     gap = cross_validate(kind, args.grid)

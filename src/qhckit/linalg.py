@@ -81,7 +81,8 @@ def orbit_column(spectrum: SpectralDecomposition, s: float) -> np.ndarray:
     """Column ``orbit[0]`` of ``U(s)`` at orbit positions 0..L-1.
 
     Equals ``DFT(exp(i * s * angles)) / L``; ``U(s)`` maps ``orbit[b]`` to
-    ``orbit[a]`` with amplitude ``column[(a - b) mod L]``.
+    ``orbit[a]`` with amplitude ``column[(a - b) mod L]``.  At integer ``s``
+    it is exactly the one-hot column of the permutation power ``P^s``.
     """
     s = float(s)
     if not math.isfinite(s):
@@ -90,6 +91,10 @@ def orbit_column(spectrum: SpectralDecomposition, s: float) -> np.ndarray:
     # L * angles[j] is a multiple of 2*pi, so U has period L.  fmod is exact,
     # so the reduction keeps the phases accurate however large s is.
     s = math.fmod(s, length)
+    if s.is_integer():
+        column = np.zeros(length, dtype=complex)
+        column[int(s) % length] = 1.0
+        return column
     return np.fft.fft(np.exp(1j * s * spectrum.angles)) / length
 
 

@@ -3,10 +3,10 @@
 The synthesized scheme always gets one row: qubit count from the number of
 distinct outputs, Hilbert dimension, and a gate count of 1 since the whole
 table is realized by a single continuous unitary.  When the table is
-recognized as one of the built-in adders (exact row-for-row match), rows
-for the published reference constructions are appended so the compression
-is visible side by side.  Baseline numbers are cited constants, not
-computed circuit decompositions.
+recognized as one of the built-in adders (``gates.builtin_kind``), rows for
+the published reference constructions are appended so the compression is
+visible side by side.  Baseline numbers are cited constants, not computed
+circuit decompositions.
 """
 
 from __future__ import annotations
@@ -14,8 +14,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .errors import ValidationError
-from .gates import full_adder_truth_table, half_adder_truth_table
+from .gates import GateKind, builtin_kind
 from .synth import TruthTable, qubit_count
 
 TOFFOLI_CNOT_CITATION = "Vedral et al., Phys. Rev. A 54, 147 (1996)"
@@ -37,56 +36,26 @@ class ResourceReport:
 
     scheme: Scheme
     qubits: int
-    hilbert_dim: int
     gate_count: int | None
     citation: str | None
 
-    def __post_init__(self) -> None:
-        if self.hilbert_dim != 2**self.qubits:
-            raise ValidationError(
-                f"hilbert_dim {self.hilbert_dim} is not 2^{self.qubits}"
-            )
+    @property
+    def hilbert_dim(self) -> int:
+        return 2**self.qubits
+
+
+BASELINES: dict[GateKind, tuple[ResourceReport, ...]] = {
+    GateKind.HALF_ADDER: (
+        ResourceReport(Scheme.TOFFOLI_CNOT_HALF, 3, None, TOFFOLI_CNOT_CITATION),
+    ),
+    GateKind.FULL_ADDER: (
+        ResourceReport(Scheme.TOFFOLI_CNOT_FULL, 4, None, TOFFOLI_CNOT_CITATION),
+        ResourceReport(Scheme.FREDKIN_FULL, 5, 5, FREDKIN_CITATION),
+    ),
+}
 
 
 def resource_report(table: TruthTable) -> list[ResourceReport]:
     """Cost rows for a table: the synthesized scheme plus known baselines."""
-    qubits = qubit_count(table)
-    rows = [
-        ResourceReport(
-            scheme=Scheme.QHC,
-            qubits=qubits,
-            hilbert_dim=2**qubits,
-            gate_count=1,
-            citation=None,
-        )
-    ]
-    if table == half_adder_truth_table():
-        rows.append(
-            ResourceReport(
-                scheme=Scheme.TOFFOLI_CNOT_HALF,
-                qubits=3,
-                hilbert_dim=8,
-                gate_count=None,
-                citation=TOFFOLI_CNOT_CITATION,
-            )
-        )
-    elif table == full_adder_truth_table():
-        rows.append(
-            ResourceReport(
-                scheme=Scheme.TOFFOLI_CNOT_FULL,
-                qubits=4,
-                hilbert_dim=16,
-                gate_count=None,
-                citation=TOFFOLI_CNOT_CITATION,
-            )
-        )
-        rows.append(
-            ResourceReport(
-                scheme=Scheme.FREDKIN_FULL,
-                qubits=5,
-                hilbert_dim=32,
-                gate_count=5,
-                citation=FREDKIN_CITATION,
-            )
-        )
-    return rows
+    qhc = ResourceReport(Scheme.QHC, qubit_count(table), gate_count=1, citation=None)
+    return [qhc, *BASELINES.get(builtin_kind(table), ())]

@@ -27,15 +27,6 @@ BASIS_TOLERANCE = 1e-6
 NORM_TOLERANCE = 1e-10
 
 
-def initial_state(output_qubits: int) -> np.ndarray:
-    """All-zeros basis state of an ``output_qubits``-qubit register."""
-    if output_qubits < 1:
-        raise InvalidParameter(f"qubit count must be positive, got {output_qubits}")
-    state = np.zeros(2**output_qubits, dtype=complex)
-    state[0] = 1.0
-    return state
-
-
 def apply(unitary: np.ndarray, state: np.ndarray) -> np.ndarray:
     """Evolve a state by a unitary, refusing norm-distorting matrices."""
     unitary = np.asarray(unitary)

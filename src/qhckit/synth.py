@@ -33,6 +33,8 @@ from .linalg import (
     orbit_column,
 )
 
+_BIT_VALUES = frozenset((0, 1))
+
 
 def format_bits(bits: tuple[int, ...]) -> str:
     return "".join(str(b) for b in bits)
@@ -66,19 +68,23 @@ class TruthTable:
             raise ValidationError(f"input count must be positive, got {self.input_count}")
         if self.output_qubits < 1:
             raise ValidationError(f"output qubit count must be positive, got {self.output_qubits}")
-        expected = set(itertools.product((0, 1), repeat=self.input_count))
-        for key in sorted(expected):
-            if key not in self.rows:
-                raise ValidationError(f"missing input row '{format_bits(key)}'")
-        for key in self.rows:
-            if key not in expected:
-                raise ValidationError(f"unexpected input row {key!r} for {self.input_count} inputs")
-        for key, label in sorted(self.rows.items()):
+        k = self.input_count
+        for key, label in self.rows.items():
+            if not (isinstance(key, tuple) and len(key) == k and _BIT_VALUES.issuperset(key)):
+                raise ValidationError(f"unexpected input row {key!r} for {k} inputs")
             if len(label) != self.output_qubits or set(label) - {"0", "1"}:
                 raise ValidationError(
                     f"row '{format_bits(key)}' has bad output label {label!r}; "
                     f"expected {self.output_qubits} bits"
                 )
+        # The keys are now distinct k-bit rows, so fewer than 2^k of them means
+        # a row is missing; the first one in counting order is among the first
+        # len(rows) + 1 candidates.  The shift avoids evaluating 2^k for huge k.
+        if len(self.rows) >> k == 0:
+            missing = next(
+                bits for bits in itertools.product((0, 1), repeat=k) if bits not in self.rows
+            )
+            raise ValidationError(f"missing input row '{format_bits(missing)}'")
 
     @property
     def dim(self) -> int:

@@ -13,6 +13,7 @@ import numpy as np
 import scipy.linalg
 
 from qhckit import (
+    FULL_ADDER_ORBIT,
     GateKind,
     Scheme,
     SynthesisError,
@@ -21,8 +22,6 @@ from qhckit import (
     cycle_spectrum,
     emit_matrix,
     exp_from_spectrum,
-    four_cycle_generator,
-    four_cycle_matrix,
     full_adder_closed_form,
     full_adder_truth_table,
     half_adder_closed_form,
@@ -36,7 +35,12 @@ from qhckit import (
 )
 from qhckit.cli import main
 
-from oracles import all_symmetric_tables, permutation_matrix, satisfying_permutations
+from oracles import (
+    all_symmetric_tables,
+    orbit_permutation,
+    permutation_matrix,
+    satisfying_permutations,
+)
 
 E = np.eye(4, dtype=complex)
 
@@ -86,12 +90,12 @@ def test_criterion_2_full_adder_truth_table():
 
 def test_criterion_3_four_cycle_algebra():
     problems = []
-    r = four_cycle_matrix()
+    r = orbit_permutation((0, 1, 2, 3), 4)
     if np.max(np.abs(np.linalg.matrix_power(r, 4) - E)) > 1e-12:
         problems.append("R^4 != I")
     if np.max(np.abs(r.conj().T @ r - E)) > 1e-12:
         problems.append("R not unitary")
-    h = four_cycle_generator()
+    h = hermitian_generator(cycle_spectrum(FULL_ADDER_ORBIT, 4))
     if np.max(np.abs(h - h.conj().T)) > 1e-12:
         problems.append("H not Hermitian")
     spectrum = cycle_spectrum((0, 1, 2, 3), 4)
@@ -246,7 +250,8 @@ def test_criterion_8_cli_contract(tmp_path, capsys):
         problems.append("diagnostic does not name the missing row")
     rng = np.random.default_rng(107)
     matrix = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    for candidate in (matrix, four_cycle_matrix(), half_adder_closed_form(0.3, 0.1)):
+    four_cycle = orbit_permutation((0, 1, 2, 3), 4)
+    for candidate in (matrix, four_cycle, half_adder_closed_form(0.3, 0.1)):
         if not np.array_equal(parse_matrix(emit_matrix(candidate, "json")), candidate):
             problems.append("matrix JSON round-trip not bit-exact")
     _conclude("CLI exit codes, diagnostics, and matrix round-trip", problems)

@@ -7,19 +7,20 @@ import scipy.linalg
 from qhckit import (
     FULL_ADDER_ORBIT,
     GateKind,
-    HALF_ADDER_ORBIT,
-    HalfAdderCoefficients,
     InvalidParameter,
+    TruthTable,
     cross_validate,
-    four_cycle_generator,
-    four_cycle_matrix,
+    cycle_spectrum,
     full_adder_closed_form,
-    full_adder_coefficients,
     full_adder_truth_table,
     half_adder_closed_form,
-    half_adder_coefficients,
     half_adder_truth_table,
+    hermitian_generator,
+    synthesize,
 )
+from qhckit.gates import BUILTINS, builtin_kind
+
+from oracles import orbit_permutation
 
 E = np.eye(4, dtype=complex)
 
@@ -29,13 +30,6 @@ def test_half_adder_boolean_columns():
     assert np.max(np.abs(half_adder_closed_form(1, 0)[:, 0] - E[:, 1])) < 1e-12
     assert np.max(np.abs(half_adder_closed_form(0, 1)[:, 0] - E[:, 1])) < 1e-12
     assert np.max(np.abs(half_adder_closed_form(1, 1)[:, 0] - E[:, 3])) < 1e-12
-
-
-def test_half_adder_coefficients_at_sum_one():
-    c = half_adder_coefficients(1, 0)
-    assert abs(c.stay) < 1e-12
-    assert abs(c.exchange - 0.5) < 1e-12
-    assert abs(c.circulation - 0.5) < 1e-12
 
 
 def test_full_adder_boolean_columns():
@@ -92,23 +86,6 @@ def test_periodicity():
         assert np.max(np.abs(full_gap)) < 1e-12
 
 
-def test_coefficient_invariants():
-    rng = np.random.default_rng(23)
-    for _ in range(50):
-        a, g, b = rng.uniform(-4, 4, size=3)
-        hc = half_adder_coefficients(a, b)
-        assert abs(hc.stay + 2 * hc.exchange - 1.0) < 1e-12
-        fc = full_adder_coefficients(a, g, b)
-        assert abs(abs(fc.phase) - 1.0) < 1e-12
-        assert abs(complex(fc.cos_full, fc.sin_full) - fc.phase) < 1e-12
-        assert abs(fc.cos_half**2 + fc.sin_half**2 - 1.0) < 1e-12
-
-
-def test_coefficient_invariant_enforced_on_construction():
-    with pytest.raises(InvalidParameter):
-        HalfAdderCoefficients(stay=0.5, exchange=0.5, circulation=0.0)
-
-
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_non_finite_inputs_rejected(bad):
     with pytest.raises(InvalidParameter):
@@ -117,18 +94,11 @@ def test_non_finite_inputs_rejected(bad):
         full_adder_closed_form(0, bad, 0)
 
 
-def test_four_cycle_matrix_shape():
-    r = four_cycle_matrix()
-    assert np.array_equal(r[:, 0], E[:, 1])
-    assert np.array_equal(r[:, 3], E[:, 0])
-    assert np.max(np.abs(np.linalg.matrix_power(r, 4) - E)) == 0
-    assert np.max(np.abs(r.conj().T @ r - E)) == 0
-
-
 def test_four_cycle_generator_matches_expm():
-    h = four_cycle_generator()
+    h = hermitian_generator(cycle_spectrum(FULL_ADDER_ORBIT, 4))
     assert np.max(np.abs(h - h.conj().T)) < 1e-12
-    assert np.max(np.abs(scipy.linalg.expm(-1j * h) - four_cycle_matrix())) < 1e-12
+    r = orbit_permutation((0, 1, 2, 3), 4)
+    assert np.max(np.abs(scipy.linalg.expm(-1j * h) - r)) < 1e-12
 
 
 def test_cross_validate_grids():
@@ -149,6 +119,15 @@ def test_builtin_truth_tables():
         assert label == format(sum(bits), "02b")
 
 
-def test_orbit_constants_match_labels():
-    assert HALF_ADDER_ORBIT == (0, 1, 3)
-    assert FULL_ADDER_ORBIT == (0, 1, 2, 3)
+@pytest.mark.parametrize("kind", list(BUILTINS), ids=lambda kind: kind.value)
+def test_builtin_registry_is_consistent(kind):
+    builtin = BUILTINS[kind]
+    table = builtin.truth_table()
+    assert synthesize(table).cycle.orbit == builtin.orbit
+    assert builtin_kind(table) is kind
+
+
+def test_builtin_kind_rejects_an_altered_full_adder():
+    rows = dict(full_adder_truth_table().rows)
+    rows[(1, 1, 0)] = "11"
+    assert builtin_kind(TruthTable(3, 2, rows)) is None

@@ -1,10 +1,6 @@
-import pytest
-
 from qhckit import (
-    ResourceReport,
     Scheme,
     TruthTable,
-    ValidationError,
     full_adder_truth_table,
     half_adder_truth_table,
     resource_report,
@@ -20,6 +16,7 @@ def test_half_adder_report():
     assert (baseline.qubits, baseline.hilbert_dim) == (3, 8)
     assert baseline.gate_count is None
     assert "Vedral" in baseline.citation
+    assert all(r.hilbert_dim == 2**r.qubits for r in rows)
 
 
 def test_full_adder_report():
@@ -33,6 +30,7 @@ def test_full_adder_report():
     assert (rows[1].qubits, rows[1].hilbert_dim) == (4, 16)
     assert (rows[2].qubits, rows[2].hilbert_dim, rows[2].gate_count) == (5, 32, 5)
     assert "Moutinho" in rows[2].citation
+    assert all(r.hilbert_dim == 2**r.qubits for r in rows)
 
 
 def test_constant_zero_table_gets_no_baselines():
@@ -48,13 +46,6 @@ def test_unrecognized_table_gets_only_the_qhc_row():
     rows = resource_report(table)
     assert [r.scheme for r in rows] == [Scheme.QHC]
     assert rows[0].qubits == 1
-
-
-def test_hilbert_dim_invariant_is_enforced():
-    with pytest.raises(ValidationError):
-        ResourceReport(
-            scheme=Scheme.QHC, qubits=2, hilbert_dim=8, gate_count=1, citation=None
-        )
 
 
 def test_scheme_values_are_stable():

@@ -12,12 +12,13 @@ from qhckit import (
     ValidationError,
     emit_matrix,
     emit_truth_table,
-    four_cycle_matrix,
     half_adder_closed_form,
     half_adder_truth_table,
     parse_matrix,
     parse_truth_table,
 )
+
+from oracles import orbit_permutation
 
 HALF_ADDER_DOC = """\
 {
@@ -96,9 +97,10 @@ def test_matrix_json_round_trip_is_exact():
 
 
 def test_four_cycle_matrix_emits_plain_zeros_and_ones():
-    doc = emit_matrix(four_cycle_matrix(), "json")
+    four_cycle = orbit_permutation((0, 1, 2, 3), 4)
+    doc = emit_matrix(four_cycle, "json")
     parsed = parse_matrix(doc)
-    assert np.array_equal(parsed, four_cycle_matrix())
+    assert np.array_equal(parsed, four_cycle)
     values = {
         part
         for row in json.loads(doc)["entries"]

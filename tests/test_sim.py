@@ -10,35 +10,32 @@ from qhckit import (
     apply,
     decode,
     evaluate_continuous,
-    four_cycle_matrix,
     full_adder_truth_table,
     half_adder_closed_form,
     half_adder_truth_table,
-    initial_state,
     synthesize,
 )
 
+from oracles import orbit_permutation
 
-def test_initial_state_sizes():
-    assert np.array_equal(initial_state(1), np.array([1, 0], dtype=complex))
-    assert np.array_equal(initial_state(2), np.array([1, 0, 0, 0], dtype=complex))
-    three = initial_state(3)
-    assert three.shape == (8,) and three[0] == 1.0 and np.sum(np.abs(three)) == 1.0
-    with pytest.raises(InvalidParameter):
-        initial_state(0)
+
+def all_zeros(dim):
+    state = np.zeros(dim, dtype=complex)
+    state[0] = 1.0
+    return state
 
 
 def test_apply_basics():
-    e0 = initial_state(2)
+    e0 = all_zeros(4)
     assert np.array_equal(apply(np.eye(4), e0), e0)
     out = apply(half_adder_closed_form(1, 1), e0)
     assert np.max(np.abs(out - np.array([0, 0, 0, 1], dtype=complex))) < 1e-12
     e3 = np.array([0, 0, 0, 1], dtype=complex)
-    assert np.max(np.abs(apply(four_cycle_matrix(), e3) - e0)) == 0
+    assert np.max(np.abs(apply(orbit_permutation((0, 1, 2, 3), 4), e3) - e0)) == 0
 
 
 def test_apply_rejects_bad_operands():
-    e0 = initial_state(2)
+    e0 = all_zeros(4)
     with pytest.raises(DimensionError):
         apply(np.eye(3), e0)
     with pytest.raises(DimensionError):

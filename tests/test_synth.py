@@ -39,6 +39,17 @@ def test_truth_table_requires_all_rows():
         TruthTable(2, 1, {(0, 0): "0", (0, 1): "1", (1, 1): "0"})
 
 
+def test_missing_row_check_does_not_enumerate_all_inputs():
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValidationError, match="missing input row '000000000000000000'"):
+            TruthTable(18, 2, {})
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
 def test_truth_table_rejects_bad_labels():
     with pytest.raises(ValidationError):
         TruthTable(1, 2, {(0,): "00", (1,): "0"})
@@ -184,7 +195,12 @@ def test_synthesis_agrees_with_brute_force(input_count, qubits, data):
         assert witnesses == []
         return
     assert witnesses
-    assert verify(gate, table).passed
+    report = verify(gate, table)
+    assert report.passed and report.max_deviation == 0.0
+    power = orbit_permutation(gate.cycle.orbit, gate.dim)
+    for r in range(-5, 6):
+        exact = np.linalg.matrix_power(power, r % gate.length)
+        assert np.array_equal(gate.unitary(float(r)), exact)
     s = data.draw(st.floats(-8, 8))
     assert np.max(np.abs(gate.state(s) - gate.unitary(s)[:, 0])) < 1e-12
     u1 = gate.unitary(1.0)
