@@ -48,10 +48,8 @@ from .sim import (
     evaluate_continuous,
 )
 from .synth import (
-    CyclePermutation,
     QhcGate,
     RowCheck,
-    SymmetryProfile,
     TruthTable,
     VerificationReport,
     analyze_symmetry,
@@ -67,7 +65,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BASIS_TOLERANCE",
-    "CyclePermutation",
     "DecodedOutcome",
     "DimensionError",
     "FULL_ADDER_ORBIT",
@@ -86,7 +83,6 @@ __all__ = [
     "RowCheck",
     "Scheme",
     "SpectralDecomposition",
-    "SymmetryProfile",
     "SynthesisError",
     "TruthTable",
     "ValidationError",

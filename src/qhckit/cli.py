@@ -27,6 +27,8 @@ from .sim import BASIS_TOLERANCE, evaluate_continuous
 from .synth import QhcGate, TruthTable, format_bits, synthesize, verify
 
 _BUILTIN_GATES = tuple(kind.value for kind in GateKind)
+# Upper bound on --grid; cross_validate allocates the whole grid at once.
+MAX_GRID_POINTS = 10**5
 
 
 def _read_table(path: str) -> TruthTable:
@@ -57,6 +59,15 @@ def _tolerance(text: str) -> float:
     value = float(text)
     if not (math.isfinite(value) and value >= 0.0):
         raise argparse.ArgumentTypeError(f"tolerance must be finite and >= 0, got {text!r}")
+    return value
+
+
+def _grid(text: str) -> int:
+    value = int(text)
+    if not 2 <= value <= MAX_GRID_POINTS:
+        raise argparse.ArgumentTypeError(
+            f"grid must be an integer from 2 to {MAX_GRID_POINTS}, got {text!r}"
+        )
     return value
 
 
@@ -204,7 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     verify_cmd = sub.add_parser("verify", help="check a built-in gate both ways")
     verify_cmd.add_argument("--gate", required=True, choices=_BUILTIN_GATES)
-    verify_cmd.add_argument("--grid", type=int, default=101, help="cross-check grid points")
+    verify_cmd.add_argument("--grid", type=_grid, default=101, help="cross-check grid points")
     verify_cmd.add_argument("--tolerance", type=_tolerance, default=1e-9)
     verify_cmd.set_defaults(handler=_cmd_verify)
 

@@ -139,7 +139,7 @@ BUILTINS: dict[GateKind, Builtin] = {
 
 def builtin_kind(table: TruthTable) -> GateKind | None:
     """The built-in gate whose truth table equals ``table``, if any."""
-    outputs = analyze_symmetry(table).weight_outputs
+    outputs = analyze_symmetry(table)
     return next((kind for kind, b in BUILTINS.items() if b.weight_labels == outputs), None)
 
 

@@ -76,16 +76,8 @@ def parse_truth_table(text: str) -> TruthTable:
                 raise ParseError(
                     f"row {position}: {field!r} must be a nonempty string of 0/1, got {value!r}"
                 )
-        if len(source) != inputs:
-            raise ValidationError(
-                f"row {position}: input '{source}' has {len(source)} bits, expected {inputs}"
-            )
-        if len(target) != output_qubits:
-            raise ValidationError(
-                f"row {position}: output '{target}' has {len(target)} bits, "
-                f"expected {output_qubits}"
-            )
-        key = tuple(int(c) for c in source)
+        # Widths are checked once, by TruthTable, which names the same position.
+        key = tuple(map(int, source))
         if key in rows:
             raise ValidationError(f"row {position}: duplicate input row '{source}'")
         rows[key] = target

@@ -63,18 +63,23 @@ class TruthTable:
     output_qubits: int
     rows: dict[tuple[int, ...], str]
 
+    # Frozen, but ``rows`` is a dict: declare the table unhashable outright.
+    __hash__ = None
+
     def __post_init__(self) -> None:
         if self.input_count < 1:
             raise ValidationError(f"input count must be positive, got {self.input_count}")
         if self.output_qubits < 1:
             raise ValidationError(f"output qubit count must be positive, got {self.output_qubits}")
         k = self.input_count
-        for key, label in self.rows.items():
+        # Rows are named by position in ``rows``, which for a parsed table is
+        # the position in the document.
+        for position, (key, label) in enumerate(self.rows.items()):
             if not (isinstance(key, tuple) and len(key) == k and _BIT_VALUES.issuperset(key)):
-                raise ValidationError(f"unexpected input row {key!r} for {k} inputs")
+                raise ValidationError(f"row {position}: input {key!r} is not {k} bits")
             if len(label) != self.output_qubits or set(label) - {"0", "1"}:
                 raise ValidationError(
-                    f"row '{format_bits(key)}' has bad output label {label!r}; "
+                    f"row {position}: bad output label {label!r}; "
                     f"expected {self.output_qubits} bits"
                 )
         # The keys are now distinct k-bit rows, so fewer than 2^k of them means
@@ -92,54 +97,19 @@ class TruthTable:
 
 
 @dataclass(frozen=True)
-class SymmetryProfile:
-    """Whether a table is totally symmetric, and its per-weight outputs.
+class QhcGate:
+    """A synthesized continuous gate: its basis cycle and its input count.
 
-    ``weight_outputs[w]`` is the shared output label of all inputs with
-    exactly ``w`` ones; it is None when the table is not symmetric.
+    ``cycle`` is the orbit the gate rotates through plus the eigenangles of
+    that cycle permutation; the orbit starts at the all-zero state.
     """
 
-    is_symmetric: bool
-    weight_outputs: tuple[str, ...] | None
-
-
-@dataclass(frozen=True)
-class CyclePermutation:
-    """A permutation acting as one cyclic orbit anchored at index 0."""
-
-    dim: int
-    orbit: tuple[int, ...]
+    cycle: SpectralDecomposition
+    input_count: int
 
     def __post_init__(self) -> None:
-        if not self.orbit or self.orbit[0] != 0:
-            raise InvalidOrbit(f"orbit must start at index 0, got {self.orbit}")
-        if len(set(self.orbit)) != len(self.orbit):
-            raise InvalidOrbit(f"orbit {self.orbit} repeats an index")
-        bad = [i for i in self.orbit if not 0 <= i < self.dim]
-        if bad:
-            raise InvalidOrbit(f"orbit indices {bad} outside [0, {self.dim})")
-
-    @property
-    def length(self) -> int:
-        return len(self.orbit)
-
-    def matrix(self) -> np.ndarray:
-        """Dense permutation matrix: column ``orbit[j]`` maps to ``orbit[j+1]``."""
-        m = np.eye(self.dim, dtype=complex)
-        for index in self.orbit:
-            m[index, index] = 0.0
-        for step, index in enumerate(self.orbit):
-            m[self.orbit[(step + 1) % self.length], index] = 1.0
-        return m
-
-
-@dataclass(frozen=True)
-class QhcGate:
-    """A synthesized continuous gate and the data it was built from."""
-
-    cycle: CyclePermutation
-    spectrum: SpectralDecomposition
-    input_count: int
+        if self.cycle.orbit[0] != 0:
+            raise InvalidOrbit(f"orbit must start at index 0, got {self.cycle.orbit}")
 
     @property
     def dim(self) -> int:
@@ -147,71 +117,70 @@ class QhcGate:
 
     @property
     def length(self) -> int:
-        return self.cycle.length
+        return len(self.cycle.orbit)
 
     def unitary(self, s: float) -> np.ndarray:
         """The gate's unitary at evolution parameter ``s``."""
-        return exp_from_spectrum(self.spectrum, s)
+        return exp_from_spectrum(self.cycle, s)
 
     def state(self, s: float) -> np.ndarray:
         """``unitary(s)`` applied to the all-zero state (where the orbit starts)."""
         state = np.zeros(self.dim, dtype=complex)
-        state[list(self.spectrum.orbit)] = orbit_column(self.spectrum, s)
+        state[list(self.cycle.orbit)] = orbit_column(self.cycle, s)
         return state
 
     @property
     def generator(self) -> np.ndarray:
         """Hermitian matrix ``H`` with ``unitary(s) == exp(-i s H)``."""
-        return hermitian_generator(self.spectrum)
+        return hermitian_generator(self.cycle)
 
 
-def analyze_symmetry(table: TruthTable) -> SymmetryProfile:
-    """Group rows by input weight and check each class agrees on its output."""
+def analyze_symmetry(table: TruthTable) -> tuple[str, ...] | None:
+    """The shared output label of each input weight, or None if a weight disagrees.
+
+    Entry ``w`` is the output of every input with exactly ``w`` ones.
+    """
     by_weight: dict[int, set[str]] = {}
     for bits, label in table.rows.items():
         by_weight.setdefault(sum(bits), set()).add(label)
     if any(len(labels) != 1 for labels in by_weight.values()):
-        return SymmetryProfile(is_symmetric=False, weight_outputs=None)
-    outputs = tuple(by_weight[w].pop() for w in range(table.input_count + 1))
-    return SymmetryProfile(is_symmetric=True, weight_outputs=outputs)
+        return None
+    return tuple(by_weight[w].pop() for w in range(table.input_count + 1))
 
 
-def find_cycle(profile: SymmetryProfile, output_qubits: int) -> CyclePermutation:
+def find_cycle(weight_outputs: tuple[str, ...] | None, output_qubits: int) -> tuple[int, ...]:
     """Shortest cyclic orbit through the weight-ordered output states.
 
-    The orbit must start at the all-zero state, and the state for weight
-    ``w`` must sit at orbit position ``w mod L``.  Candidate lengths are
-    tried smallest first, so wrap-around reuse (e.g. the half adder's
-    weight-2 output landing back near the start of a longer orbit than the
-    distinct-output count alone would suggest) is only accepted when no
-    shorter orbit works.
+    ``weight_outputs`` is ``analyze_symmetry``'s result; None (no symmetry)
+    raises ``NotSymmetric``.  The orbit must start at the all-zero state,
+    and the state for weight ``w`` must sit at orbit position ``w mod L``.
+    Candidate lengths are tried smallest first, so wrap-around reuse (e.g.
+    the half adder's weight-2 output landing back near the start of a longer
+    orbit than the distinct-output count alone would suggest) is only
+    accepted when no shorter orbit works.
     """
-    if not profile.is_symmetric:
+    if weight_outputs is None:
         raise NotSymmetric("outputs differ within an input-weight class")
-    assert profile.weight_outputs is not None
-    labels = profile.weight_outputs
-    dim = 2**output_qubits
-    if label_to_index(labels[0]) != 0:
+    if label_to_index(weight_outputs[0]) != 0:
         raise InitialStateMismatch(
-            f"weight-0 output must be the all-zero state, got '{labels[0]}'"
+            f"weight-0 output must be the all-zero state, got '{weight_outputs[0]}'"
         )
-    targets = [label_to_index(label) for label in labels]
-    for length in range(1, min(len(targets), dim) + 1):
+    targets = [label_to_index(label) for label in weight_outputs]
+    for length in range(1, min(len(targets), 2**output_qubits) + 1):
         orbit = targets[:length]
         if len(set(orbit)) != length:
             continue
         if all(targets[w] == orbit[w % length] for w in range(len(targets))):
-            return CyclePermutation(dim=dim, orbit=tuple(orbit))
+            return tuple(orbit)
     raise NonEmbeddable(
-        f"weight outputs {labels} do not trace a single cyclic orbit from 0"
+        f"weight outputs {weight_outputs} do not trace a single cyclic orbit from 0"
     )
 
 
 def synthesize(table: TruthTable) -> QhcGate:
     """Build the continuous gate realizing a symmetric truth table."""
-    cycle = find_cycle(analyze_symmetry(table), table.output_qubits)
-    spectrum = cycle_spectrum(cycle.orbit, cycle.dim)
-    return QhcGate(cycle=cycle, spectrum=spectrum, input_count=table.input_count)
+    orbit = find_cycle(analyze_symmetry(table), table.output_qubits)
+    return QhcGate(cycle=cycle_spectrum(orbit, table.dim), input_count=table.input_count)
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ from qhckit import (
     parse_matrix,
     synthesize,
 )
-from qhckit.cli import main
+from qhckit.cli import MAX_GRID_POINTS, main
 
 NON_SYMMETRIC_DOC = """\
 {
@@ -179,6 +179,26 @@ def test_verify_rejects_degenerate_grid(capsys):
     code, _, err = run_cli(["verify", "--gate", "half-adder", "--grid", "1"], capsys)
     assert code == 2
     assert "grid" in err
+
+
+@pytest.mark.parametrize("grid", [str(MAX_GRID_POINTS + 1), "1000000000", "-5"])
+def test_verify_rejects_grid_outside_bounds_before_running(grid, capsys, monkeypatch):
+    def never(*args):
+        raise AssertionError("cross_validate ran")
+
+    monkeypatch.setattr("qhckit.cli.cross_validate", never)
+    code, _, err = run_cli(["verify", "--gate", "half-adder", "--grid", grid], capsys)
+    assert code == 2
+    assert "--grid" in err
+
+
+def test_verify_accepts_grid_at_the_cap(capsys, monkeypatch):
+    monkeypatch.setattr("qhckit.cli.cross_validate", lambda kind, grid: 0.0)
+    code, out, _ = run_cli(
+        ["verify", "--gate", "full-adder", "--grid", str(MAX_GRID_POINTS)], capsys
+    )
+    assert code == 0
+    assert json.loads(out)["cross_validation"]["grid_points"] == MAX_GRID_POINTS
 
 
 def test_report_full_adder(tmp_path, capsys):

@@ -8,13 +8,15 @@ from hypothesis import strategies as st
 from qhckit import (
     DimensionError,
     InitialStateMismatch,
+    InvalidOrbit,
     NonEmbeddable,
     NotSymmetric,
-    SymmetryProfile,
+    QhcGate,
     SynthesisError,
     TruthTable,
     ValidationError,
     analyze_symmetry,
+    cycle_spectrum,
     evaluate_continuous,
     find_cycle,
     full_adder_truth_table,
@@ -51,10 +53,12 @@ def test_missing_row_check_does_not_enumerate_all_inputs():
 
 
 def test_truth_table_rejects_bad_labels():
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="row 1: bad output label '0'; expected 2 bits"):
         TruthTable(1, 2, {(0,): "00", (1,): "0"})
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="row 1"):
         TruthTable(1, 1, {(0,): "0", (1,): "x"})
+    with pytest.raises(ValidationError, match=r"row 0: input \(0, 1\) is not 1 bits"):
+        TruthTable(1, 1, {(0, 1): "0", (1,): "1"})
     with pytest.raises(ValidationError):
         TruthTable(0, 1, {(): "0"})
 
@@ -67,58 +71,62 @@ def test_label_round_trip():
     assert index_to_label(1, 2) == "01"
 
 
+def test_truth_table_is_unhashable():
+    with pytest.raises(TypeError, match="unhashable type: 'TruthTable'"):
+        hash(half_adder_truth_table())
+
+
 def test_analyze_symmetry_on_half_adder():
-    profile = analyze_symmetry(half_adder_truth_table())
-    assert profile.is_symmetric
-    assert profile.weight_outputs == ("00", "01", "11")
+    assert analyze_symmetry(half_adder_truth_table()) == ("00", "01", "11")
 
 
 def test_analyze_symmetry_rejects_weight_conflict():
     table = TruthTable(2, 2, {(0, 0): "00", (0, 1): "01", (1, 0): "10", (1, 1): "11"})
-    profile = analyze_symmetry(table)
-    assert not profile.is_symmetric
-    assert profile.weight_outputs is None
+    assert analyze_symmetry(table) is None
 
 
 def test_find_cycle_half_and_full():
-    half = find_cycle(analyze_symmetry(half_adder_truth_table()), 2)
-    assert half.orbit == (0, 1, 3) and half.length == 3
-    full = find_cycle(analyze_symmetry(full_adder_truth_table()), 2)
-    assert full.orbit == (0, 1, 2, 3) and full.length == 4
+    assert find_cycle(analyze_symmetry(half_adder_truth_table()), 2) == (0, 1, 3)
+    assert find_cycle(analyze_symmetry(full_adder_truth_table()), 2) == (0, 1, 2, 3)
+    assert synthesize(half_adder_truth_table()).length == 3
+    assert synthesize(full_adder_truth_table()).length == 4
 
 
 def test_find_cycle_rejections():
     with pytest.raises(NotSymmetric):
-        find_cycle(SymmetryProfile(is_symmetric=False, weight_outputs=None), 2)
+        find_cycle(None, 2)
     with pytest.raises(InitialStateMismatch):
-        find_cycle(SymmetryProfile(is_symmetric=True, weight_outputs=("01", "00")), 2)
+        find_cycle(("01", "00"), 2)
     # weight-1 and weight-2 outputs coincide but differ from weight 0:
     # the walk would need to stall, which no permutation does
     with pytest.raises(NonEmbeddable):
-        find_cycle(SymmetryProfile(is_symmetric=True, weight_outputs=("00", "01", "01")), 2)
+        find_cycle(("00", "01", "01"), 2)
 
 
 def test_find_cycle_constant_table_gives_identity():
-    profile = SymmetryProfile(is_symmetric=True, weight_outputs=("0", "0"))
-    cycle = find_cycle(profile, 1)
-    assert cycle.orbit == (0,) and cycle.length == 1
+    assert find_cycle(("0", "0"), 1) == (0,)
     gate = synthesize(TruthTable(1, 1, {(0,): "0", (1,): "0"}))
+    assert gate.cycle.orbit == (0,) and gate.length == 1
     assert np.max(np.abs(gate.unitary(0.8) - np.eye(2))) < 1e-12
 
 
 def test_find_cycle_wraps_shorter_period():
     # weights 0,1,2 map to 00,01,00: a two-cycle traversed one and a half times
-    profile = SymmetryProfile(is_symmetric=True, weight_outputs=("00", "01", "00"))
-    cycle = find_cycle(profile, 2)
-    assert cycle.orbit == (0, 1) and cycle.length == 2
+    assert find_cycle(("00", "01", "00"), 2) == (0, 1)
 
 
 def test_synthesized_permutation_matches_oracle():
     for table in (half_adder_truth_table(), full_adder_truth_table()):
         gate = synthesize(table)
         expected = orbit_permutation(gate.cycle.orbit, gate.dim)
-        assert np.max(np.abs(gate.unitary(1.0) - expected)) < 1e-12
-        assert np.max(np.abs(gate.cycle.matrix() - expected)) == 0
+        assert np.array_equal(gate.unitary(1.0), expected)
+
+
+def test_gate_rejects_orbit_not_starting_at_zero():
+    # state(s) is U(s) applied to index 0, so the orbit must start there.
+    with pytest.raises(InvalidOrbit, match="start at index 0"):
+        QhcGate(cycle_spectrum((2, 0, 1, 3), 4), input_count=2)
+    assert QhcGate(cycle_spectrum((0, 1, 3), 4), input_count=2).length == 3
 
 
 def test_verify_passes_builtin_tables():
