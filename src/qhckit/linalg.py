@@ -22,6 +22,9 @@ import numpy as np
 
 from .errors import InvalidOrbit, InvalidParameter
 
+# Largest dense matrix built: d = 2^11 is 64 MiB of complex entries.
+MAX_DENSE_DIM = 2**11
+
 
 @dataclass(frozen=True)
 class SpectralDecomposition:
@@ -102,6 +105,10 @@ def _circulant_on_orbit(
     spectrum: SpectralDecomposition, column: np.ndarray, off_orbit: float
 ) -> np.ndarray:
     """Dense matrix: circulant ``column`` on the orbit, ``off_orbit`` * I elsewhere."""
+    if spectrum.dim > MAX_DENSE_DIM:
+        raise InvalidParameter(
+            f"dense matrix of dimension {spectrum.dim} exceeds the cap of {MAX_DENSE_DIM}"
+        )
     matrix = np.zeros((spectrum.dim, spectrum.dim), dtype=complex)
     np.fill_diagonal(matrix, off_orbit)
     index = np.array(spectrum.orbit)

@@ -13,7 +13,7 @@ the gate continuously between them.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -34,6 +34,10 @@ from .linalg import (
 )
 
 _BIT_VALUES = frozenset((0, 1))
+# Size caps on a table, checked before any row is read.  No document lists
+# 2^64 rows, and a state vector of 2^20 entries is already 16 MiB.
+MAX_INPUTS = 64
+MAX_OUTPUT_QUBITS = 20
 
 
 def format_bits(bits: tuple[int, ...]) -> str:
@@ -56,32 +60,41 @@ class TruthTable:
 
     ``rows`` maps every input combination, as a tuple of 0/1 ints, to the
     output register's basis-state label, a string of ``output_qubits`` bits
-    with the most significant bit first.
+    with the most significant bit first.  ``labels_by_weight[w]`` holds the
+    labels of the rows with exactly ``w`` ones; a gate sees its inputs only
+    through that weight, so the rest of the package reads this profile.
     """
 
     input_count: int
     output_qubits: int
     rows: dict[tuple[int, ...], str]
+    labels_by_weight: tuple[frozenset[str], ...] = field(init=False, repr=False, compare=False)
 
     # Frozen, but ``rows`` is a dict: declare the table unhashable outright.
     __hash__ = None
 
     def __post_init__(self) -> None:
-        if self.input_count < 1:
-            raise ValidationError(f"input count must be positive, got {self.input_count}")
-        if self.output_qubits < 1:
-            raise ValidationError(f"output qubit count must be positive, got {self.output_qubits}")
+        # The caps come first: a huge count would otherwise size the work below.
+        if not 1 <= self.input_count <= MAX_INPUTS:
+            raise ValidationError(f"input count must be 1 to {MAX_INPUTS}, got {self.input_count}")
+        if not 1 <= self.output_qubits <= MAX_OUTPUT_QUBITS:
+            raise ValidationError(
+                f"output qubit count must be 1 to {MAX_OUTPUT_QUBITS}, got {self.output_qubits}"
+            )
         k = self.input_count
+        by_weight: list[set[str]] = [set() for _ in range(k + 1)]
         # Rows are named by position in ``rows``, which for a parsed table is
         # the position in the document.
         for position, (key, label) in enumerate(self.rows.items()):
             if not (isinstance(key, tuple) and len(key) == k and _BIT_VALUES.issuperset(key)):
                 raise ValidationError(f"row {position}: input {key!r} is not {k} bits")
-            if len(label) != self.output_qubits or set(label) - {"0", "1"}:
+            not_bits = not isinstance(label, str) or set(label) - {"0", "1"}
+            if not_bits or len(label) != self.output_qubits:
                 raise ValidationError(
                     f"row {position}: bad output label {label!r}; "
                     f"expected {self.output_qubits} bits"
                 )
+            by_weight[sum(key)].add(label)
         # The keys are now distinct k-bit rows, so fewer than 2^k of them means
         # a row is missing; the first one in counting order is among the first
         # len(rows) + 1 candidates.  The shift avoids evaluating 2^k for huge k.
@@ -90,6 +103,7 @@ class TruthTable:
                 bits for bits in itertools.product((0, 1), repeat=k) if bits not in self.rows
             )
             raise ValidationError(f"missing input row '{format_bits(missing)}'")
+        object.__setattr__(self, "labels_by_weight", tuple(map(frozenset, by_weight)))
 
     @property
     def dim(self) -> int:
@@ -140,12 +154,9 @@ def analyze_symmetry(table: TruthTable) -> tuple[str, ...] | None:
 
     Entry ``w`` is the output of every input with exactly ``w`` ones.
     """
-    by_weight: dict[int, set[str]] = {}
-    for bits, label in table.rows.items():
-        by_weight.setdefault(sum(bits), set()).add(label)
-    if any(len(labels) != 1 for labels in by_weight.values()):
+    if any(len(labels) != 1 for labels in table.labels_by_weight):
         return None
-    return tuple(by_weight[w].pop() for w in range(table.input_count + 1))
+    return tuple(next(iter(labels)) for labels in table.labels_by_weight)
 
 
 def find_cycle(weight_outputs: tuple[str, ...] | None, output_qubits: int) -> tuple[int, ...]:
@@ -206,21 +217,21 @@ def verify(gate: QhcGate, table: TruthTable, tolerance: float = 1e-9) -> Verific
     For each row the all-zero state is evolved with ``s`` equal to the input
     weight; the result must match the expected basis state entrywise within
     ``tolerance``.  A row's outcome depends only on its weight and label, so
-    each weight is evolved once and each (weight, label) pair scored once.
+    each weight is evolved once and each of its labels scored once.
     """
     if gate.dim != table.dim:
         raise DimensionError(
             f"gate dimension {gate.dim} does not match table dimension {table.dim}"
         )
-    states = [gate.state(float(w)) for w in range(table.input_count + 1)]
-    obtained = [
-        index_to_label(int(np.argmax(np.abs(state) ** 2)), table.output_qubits) for state in states
-    ]
+    obtained = []
     deviations = {}
-    for weight, label in {(sum(bits), label) for bits, label in table.rows.items()}:
-        error = states[weight].copy()
-        error[label_to_index(label)] -= 1.0
-        deviations[weight, label] = float(np.max(np.abs(error)))
+    for weight, labels in enumerate(table.labels_by_weight):
+        state = gate.state(float(weight))
+        obtained.append(index_to_label(int(np.argmax(np.abs(state) ** 2)), table.output_qubits))
+        for label in labels:
+            error = state.copy()
+            error[label_to_index(label)] -= 1.0
+            deviations[weight, label] = float(np.max(np.abs(error)))
     checks = tuple(
         RowCheck(bits, label, obtained[sum(bits)], deviations[sum(bits), label])
         for bits, label in sorted(table.rows.items())
@@ -236,5 +247,5 @@ def qubit_count(table: TruthTable) -> int:
     Equals ceil(log2 of the distinct-output count); a constant table needs
     zero qubits even though its labels may be written wider.
     """
-    distinct = len(set(table.rows.values()))
+    distinct = len(frozenset().union(*table.labels_by_weight))
     return (distinct - 1).bit_length()

@@ -12,28 +12,20 @@ import math
 import numpy as np
 import scipy.linalg
 
-from qhckit import (
+from qhckit import TruthTable, full_adder_truth_table, half_adder_truth_table, synthesize, verify
+from qhckit.cli import main
+from qhckit.errors import SynthesisError
+from qhckit.gates import (
     FULL_ADDER_ORBIT,
     GateKind,
-    Scheme,
-    SynthesisError,
-    TruthTable,
     cross_validate,
-    cycle_spectrum,
-    emit_matrix,
-    exp_from_spectrum,
     full_adder_closed_form,
-    full_adder_truth_table,
     half_adder_closed_form,
-    half_adder_truth_table,
-    hermitian_generator,
-    parse_matrix,
-    qubit_count,
-    resource_report,
-    synthesize,
-    verify,
 )
-from qhckit.cli import main
+from qhckit.linalg import cycle_spectrum, exp_from_spectrum, hermitian_generator
+from qhckit.report import Scheme, resource_report
+from qhckit.serialize import emit_matrix, parse_matrix
+from qhckit.synth import qubit_count
 
 from oracles import (
     all_symmetric_tables,

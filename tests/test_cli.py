@@ -1,18 +1,17 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qhckit import (
-    emit_truth_table,
-    full_adder_truth_table,
-    half_adder_truth_table,
-    parse_matrix,
-    synthesize,
-)
+from qhckit import TruthTable, full_adder_truth_table, half_adder_truth_table, synthesize
 from qhckit.cli import MAX_GRID_POINTS, main
+from qhckit.serialize import emit_truth_table, parse_matrix
 
 NON_SYMMETRIC_DOC = """\
 {
@@ -223,6 +222,78 @@ def test_malformed_table_exits_2_with_row_diagnostic(tmp_path, capsys):
     code, _, err = run_cli(["report", "--table", str(path)], capsys)
     assert code == 2
     assert "01" in err
+
+
+@pytest.mark.parametrize("flag", ["--emit-u", "--emit-h"])
+def test_dense_matrix_above_the_cap_exits_2(flag, tmp_path, capsys):
+    # N = 12: synth and verify need no dense matrix, --emit-u/--emit-h do.
+    table = TruthTable(1, 12, {(0,): "0" * 12, (1,): "0" * 11 + "1"})
+    path = tmp_path / "wide.json"
+    path.write_text(emit_truth_table(table), encoding="utf-8")
+    h_file = tmp_path / "H.json"
+    value = "0.5" if flag == "--emit-u" else str(h_file)
+    code, out, err = run_cli(["synth", "--table", str(path), flag, value], capsys)
+    assert code == 2
+    assert out == ""
+    assert "exceeds the cap of 2048" in err
+    assert not h_file.exists()
+
+
+@pytest.mark.parametrize(
+    "field, value, match",
+    [("inputs", 65, "input count must be 1 to 64"), ("output_qubits", 21, "output qubit count")],
+)
+def test_table_size_caps_exit_2(field, value, match, tmp_path, capsys):
+    doc = json.loads(emit_truth_table(half_adder_truth_table()))
+    doc[field] = value
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run_cli(["synth", "--table", str(path)], capsys)
+    assert code == 2
+    assert out == ""
+    assert match in err
+
+
+# Arbitrary JSON, with integers kept small enough (plus the cap values) that
+# no document can ask for a huge allocation even without the caps.
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-(10**6), 10**6)
+    | st.sampled_from([64, 65, 20, 21])
+    | st.floats()
+    | st.text(alphabet="01", max_size=4)
+    | st.text(max_size=4),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=3), children, max_size=3),
+    max_leaves=6,
+)
+
+
+@pytest.fixture(scope="module")
+def scratch_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("malformed") / "doc.json"
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    field=st.sampled_from(["inputs", "output_qubits", "rows", "in", "out"]),
+    row=st.integers(0, 3),
+    value=JSON_VALUES,
+)
+def test_malformed_documents_exit_with_a_documented_code(scratch_file, field, row, value):
+    doc = json.loads(emit_truth_table(half_adder_truth_table()))
+    if field in ("in", "out"):
+        doc["rows"][row][field] = value
+    else:
+        doc[field] = value
+    scratch_file.write_text(json.dumps(doc), encoding="utf-8")
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main(["synth", "--table", str(scratch_file)])
+    assert code in (0, 1, 2)
+    in_range = isinstance(value, int) and not isinstance(value, bool) and 1 <= value <= 64
+    if field == "inputs" and not in_range:
+        assert code == 2
 
 
 def test_missing_file_exits_2(capsys):

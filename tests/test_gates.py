@@ -4,21 +4,18 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from qhckit import (
+from qhckit import TruthTable, full_adder_truth_table, half_adder_truth_table, synthesize
+from qhckit.errors import InvalidParameter
+from qhckit.gates import (
+    BUILTINS,
     FULL_ADDER_ORBIT,
     GateKind,
-    InvalidParameter,
-    TruthTable,
+    builtin_kind,
     cross_validate,
-    cycle_spectrum,
     full_adder_closed_form,
-    full_adder_truth_table,
     half_adder_closed_form,
-    half_adder_truth_table,
-    hermitian_generator,
-    synthesize,
 )
-from qhckit.gates import BUILTINS, builtin_kind
+from qhckit.linalg import cycle_spectrum, hermitian_generator
 
 from oracles import orbit_permutation
 

@@ -6,14 +6,8 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qhckit import (
-    InvalidOrbit,
-    InvalidParameter,
-    cycle_spectrum,
-    exp_from_spectrum,
-    hermitian_generator,
-    unitarity_defect,
-)
+from qhckit.errors import InvalidOrbit, InvalidParameter
+from qhckit.linalg import cycle_spectrum, exp_from_spectrum, hermitian_generator, unitarity_defect
 
 from oracles import orbit_permutation
 

@@ -1,10 +1,5 @@
-from qhckit import (
-    Scheme,
-    TruthTable,
-    full_adder_truth_table,
-    half_adder_truth_table,
-    resource_report,
-)
+from qhckit import TruthTable, full_adder_truth_table, half_adder_truth_table
+from qhckit.report import Scheme, resource_report
 
 
 def test_half_adder_report():

@@ -5,18 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qhckit import (
-    InvalidParameter,
-    ParseError,
-    TruthTable,
-    ValidationError,
-    emit_matrix,
-    emit_truth_table,
-    half_adder_closed_form,
-    half_adder_truth_table,
-    parse_matrix,
-    parse_truth_table,
-)
+from qhckit import TruthTable, half_adder_truth_table, parse_truth_table
+from qhckit.errors import InvalidParameter, ParseError, ValidationError
+from qhckit.gates import half_adder_closed_form
+from qhckit.serialize import emit_matrix, emit_truth_table, parse_matrix
 
 from oracles import orbit_permutation
 

@@ -3,18 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from qhckit import (
-    DimensionError,
-    InvalidParameter,
-    NonUnitaryError,
-    apply,
-    decode,
-    evaluate_continuous,
-    full_adder_truth_table,
-    half_adder_closed_form,
-    half_adder_truth_table,
-    synthesize,
-)
+from qhckit import evaluate_continuous, full_adder_truth_table, half_adder_truth_table, synthesize
+from qhckit.errors import DimensionError, InvalidParameter, NonUnitaryError
+from qhckit.gates import half_adder_closed_form
+from qhckit.sim import apply, decode
 
 from oracles import orbit_permutation
 

@@ -6,26 +6,30 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qhckit import (
+    TruthTable,
+    evaluate_continuous,
+    full_adder_truth_table,
+    half_adder_truth_table,
+    synthesize,
+    verify,
+)
+from qhckit.errors import (
     DimensionError,
     InitialStateMismatch,
     InvalidOrbit,
     NonEmbeddable,
     NotSymmetric,
-    QhcGate,
     SynthesisError,
-    TruthTable,
     ValidationError,
+)
+from qhckit.linalg import cycle_spectrum
+from qhckit.synth import (
+    QhcGate,
     analyze_symmetry,
-    cycle_spectrum,
-    evaluate_continuous,
     find_cycle,
-    full_adder_truth_table,
-    half_adder_truth_table,
     index_to_label,
     label_to_index,
     qubit_count,
-    synthesize,
-    verify,
 )
 
 from oracles import (
@@ -61,6 +65,42 @@ def test_truth_table_rejects_bad_labels():
         TruthTable(1, 1, {(0, 1): "0", (1,): "1"})
     with pytest.raises(ValidationError):
         TruthTable(0, 1, {(): "0"})
+    with pytest.raises(ValidationError, match="row 0: bad output label 0; expected 1 bits"):
+        TruthTable(1, 1, {(0,): 0, (1,): 1})
+
+
+@pytest.mark.parametrize(
+    "inputs, qubits, match",
+    [(65, 1, "input count must be 1 to 64"), (10**6, 1, "input count"), (1, 21, "output qubit")],
+)
+def test_size_caps_reject_before_reading_rows(inputs, qubits, match):
+    rows = {(0,): "0" * qubits, (1,): "1" * qubits} if inputs == 1 else {}
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValidationError, match=match):
+            TruthTable(inputs, qubits, rows)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+def test_size_caps_admit_their_limits():
+    with pytest.raises(ValidationError, match="missing input row"):
+        TruthTable(64, 1, {})
+    table = TruthTable(1, 20, {(0,): "0" * 20, (1,): "0" * 19 + "1"})
+    assert synthesize(table).dim == 2**20
+
+
+def test_labels_by_weight_groups_rows():
+    table = TruthTable(2, 2, {(0, 0): "00", (0, 1): "01", (1, 0): "10", (1, 1): "11"})
+    assert table.labels_by_weight == (frozenset({"00"}), frozenset({"01", "10"}), frozenset({"11"}))
+    assert half_adder_truth_table().labels_by_weight == tuple(
+        frozenset({label}) for label in ("00", "01", "11")
+    )
+    # The profile is derived: it is neither a constructor argument nor compared.
+    assert "labels_by_weight" not in repr(table)
+    assert table == TruthTable(2, 2, dict(table.rows))
 
 
 def test_label_round_trip():
