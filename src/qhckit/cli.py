@@ -232,7 +232,7 @@ def main(argv: list[str] | None = None) -> int:
     except SynthesisError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (ParseError, ValidationError, InvalidParameter, OSError) as exc:
+    except (ParseError, ValidationError, InvalidParameter, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -33,7 +33,7 @@ import numpy as np
 from .errors import InvalidParameter, ParseError, ValidationError
 from .synth import TruthTable, format_bits
 
-_BITS = frozenset("01")
+_BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
 
 
 def _load_json(text: str) -> Any:
@@ -41,7 +41,7 @@ def _load_json(text: str) -> Any:
         # Reject the non-standard NaN/Infinity literals up front; they
         # would silently break the bit-exact round-trip contract.
         return json.loads(text, parse_constant=_reject_constant)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ParseError(f"invalid JSON: {exc}") from exc
 
 
@@ -72,12 +72,12 @@ def parse_truth_table(text: str) -> TruthTable:
             raise ParseError(f"row {position}: expected an object with 'in' and 'out'")
         source, target = item["in"], item["out"]
         for field, value in (("in", source), ("out", target)):
-            if not isinstance(value, str) or not value or set(value) - _BITS:
+            if not isinstance(value, str) or not value or value.strip("01"):
                 raise ParseError(
                     f"row {position}: {field!r} must be a nonempty string of 0/1, got {value!r}"
                 )
         # Widths are checked once, by TruthTable, which names the same position.
-        key = tuple(map(int, source))
+        key = tuple(source.encode().translate(_BIT_BYTES))
         if key in rows:
             raise ValidationError(f"row {position}: duplicate input row '{source}'")
         rows[key] = target

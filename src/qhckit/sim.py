@@ -81,7 +81,7 @@ def decode(state: np.ndarray, tolerance: float = BASIS_TOLERANCE) -> DecodedOutc
     label = None
     if probabilities[top] >= 1.0 - tolerance:
         label = index_to_label(top, bits)
-    return DecodedOutcome(probabilities=tuple(float(p) for p in probabilities), label=label)
+    return DecodedOutcome(probabilities=tuple(probabilities.tolist()), label=label)
 
 
 def evaluate_continuous(

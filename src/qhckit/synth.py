@@ -88,8 +88,7 @@ class TruthTable:
         for position, (key, label) in enumerate(self.rows.items()):
             if not (isinstance(key, tuple) and len(key) == k and _BIT_VALUES.issuperset(key)):
                 raise ValidationError(f"row {position}: input {key!r} is not {k} bits")
-            not_bits = not isinstance(label, str) or set(label) - {"0", "1"}
-            if not_bits or len(label) != self.output_qubits:
+            if not isinstance(label, str) or label.strip("01") or len(label) != self.output_qubits:
                 raise ValidationError(
                     f"row {position}: bad output label {label!r}; "
                     f"expected {self.output_qubits} bits"
@@ -159,38 +158,34 @@ def analyze_symmetry(table: TruthTable) -> tuple[str, ...] | None:
     return tuple(next(iter(labels)) for labels in table.labels_by_weight)
 
 
-def find_cycle(weight_outputs: tuple[str, ...] | None, output_qubits: int) -> tuple[int, ...]:
-    """Shortest cyclic orbit through the weight-ordered output states.
+def find_cycle(weight_outputs: tuple[str, ...] | None) -> tuple[int, ...]:
+    """The cyclic orbit through the weight-ordered output states.
 
     ``weight_outputs`` is ``analyze_symmetry``'s result; None (no symmetry)
-    raises ``NotSymmetric``.  The orbit must start at the all-zero state,
-    and the state for weight ``w`` must sit at orbit position ``w mod L``.
-    Candidate lengths are tried smallest first, so wrap-around reuse (e.g.
-    the half adder's weight-2 output landing back near the start of a longer
-    orbit than the distinct-output count alone would suggest) is only
-    accepted when no shorter orbit works.
+    raises ``NotSymmetric``.  The orbit starts at the all-zero state and the
+    state for weight ``w`` sits at orbit position ``w mod L``, so L is the
+    first weight ``w >= 1`` whose output is the all-zero state again (k + 1
+    if none): a shorter orbit would need 0 sooner, a longer one would hold it twice.
     """
     if weight_outputs is None:
         raise NotSymmetric("outputs differ within an input-weight class")
-    if label_to_index(weight_outputs[0]) != 0:
+    targets = [label_to_index(label) for label in weight_outputs]
+    if targets[0] != 0:
         raise InitialStateMismatch(
             f"weight-0 output must be the all-zero state, got '{weight_outputs[0]}'"
         )
-    targets = [label_to_index(label) for label in weight_outputs]
-    for length in range(1, min(len(targets), 2**output_qubits) + 1):
-        orbit = targets[:length]
-        if len(set(orbit)) != length:
-            continue
-        if all(targets[w] == orbit[w % length] for w in range(len(targets))):
-            return tuple(orbit)
-    raise NonEmbeddable(
-        f"weight outputs {weight_outputs} do not trace a single cyclic orbit from 0"
-    )
+    length = next((w for w in range(1, len(targets)) if targets[w] == 0), len(targets))
+    orbit = targets[:length]
+    if len(set(orbit)) != length or any(t != orbit[w % length] for w, t in enumerate(targets)):
+        raise NonEmbeddable(
+            f"weight outputs {weight_outputs} do not trace a single cyclic orbit from 0"
+        )
+    return tuple(orbit)
 
 
 def synthesize(table: TruthTable) -> QhcGate:
     """Build the continuous gate realizing a symmetric truth table."""
-    orbit = find_cycle(analyze_symmetry(table), table.output_qubits)
+    orbit = find_cycle(analyze_symmetry(table))
     return QhcGate(cycle=cycle_spectrum(orbit, table.dim), input_count=table.input_count)
 
 
@@ -217,27 +212,29 @@ def verify(gate: QhcGate, table: TruthTable, tolerance: float = 1e-9) -> Verific
     For each row the all-zero state is evolved with ``s`` equal to the input
     weight; the result must match the expected basis state entrywise within
     ``tolerance``.  A row's outcome depends only on its weight and label, so
-    each weight is evolved once and each of its labels scored once.
+    each weight is evolved once and each of its labels scored once.  The state
+    lies on the orbit: its L entries plus one zero stand for all d of them.
     """
     if gate.dim != table.dim:
         raise DimensionError(
             f"gate dimension {gate.dim} does not match table dimension {table.dim}"
         )
+    orbit_labels = [index_to_label(index, table.output_qubits) for index in gate.cycle.orbit]
     obtained = []
     deviations = {}
     for weight, labels in enumerate(table.labels_by_weight):
-        state = gate.state(float(weight))
-        obtained.append(index_to_label(int(np.argmax(np.abs(state) ** 2)), table.output_qubits))
+        amplitudes = np.append(orbit_column(gate.cycle, weight), 0.0)
+        obtained.append(orbit_labels[int(np.argmax(np.abs(amplitudes)))])
         for label in labels:
-            error = state.copy()
-            error[label_to_index(label)] -= 1.0
+            error = amplitudes.copy()
+            error[orbit_labels.index(label) if label in orbit_labels else -1] -= 1.0
             deviations[weight, label] = float(np.max(np.abs(error)))
+    worst = max(deviations.values())
+    passed = worst <= tolerance and all(obtained[w] == label for w, label in deviations)
     checks = tuple(
         RowCheck(bits, label, obtained[sum(bits)], deviations[sum(bits), label])
         for bits, label in sorted(table.rows.items())
     )
-    worst = max(deviations.values())
-    passed = worst <= tolerance and all(c.obtained == c.expected for c in checks)
     return VerificationReport(rows=checks, passed=passed, max_deviation=worst)
 
 

@@ -14,6 +14,7 @@ import itertools
 import numpy as np
 
 from qhckit import TruthTable
+from qhckit.errors import InitialStateMismatch, NonEmbeddable
 
 
 def permutation_matrix(perm: tuple[int, ...]) -> np.ndarray:
@@ -76,3 +77,20 @@ def satisfying_permutations(table: TruthTable) -> list[tuple[int, ...]]:
         if ok:
             found.append(perm)
     return found
+
+
+def shortest_orbit(weight_labels: tuple[str, ...], output_qubits: int) -> tuple[int, ...]:
+    """Shortest orbit from 0 putting weight w's label at position w mod L.
+
+    Tries every length from 1 to min(k + 1, 2^N), smallest first.
+    """
+    targets = [int(label, 2) for label in weight_labels]
+    if targets[0] != 0:
+        raise InitialStateMismatch(f"weight-0 label is {weight_labels[0]}")
+    for length in range(1, min(len(targets), 2**output_qubits) + 1):
+        orbit = targets[:length]
+        if len(set(orbit)) == length and all(
+            target == orbit[w % length] for w, target in enumerate(targets)
+        ):
+            return tuple(orbit)
+    raise NonEmbeddable(f"no orbit through {weight_labels}")

@@ -296,10 +296,28 @@ def test_malformed_documents_exit_with_a_documented_code(scratch_file, field, ro
         assert code == 2
 
 
-def test_missing_file_exits_2(capsys):
-    code, _, err = run_cli(["synth", "--table", "/nonexistent/t.json"], capsys)
+UNREADABLE_TABLES = {
+    "missing": None,
+    "not-utf8": b"\xff\xfe{}",
+    "deep-json": b"[" * 100000 + b"]" * 100000,
+}
+
+
+@pytest.mark.parametrize("content", UNREADABLE_TABLES)
+@pytest.mark.parametrize("command", ["synth", "simulate", "report"])
+def test_missing_file_exits_2(command, content, tmp_path, capsys):
+    path = tmp_path / "t.json"
+    if UNREADABLE_TABLES[content] is not None:
+        path.write_bytes(UNREADABLE_TABLES[content])
+    argv = {
+        "synth": ["synth", "--table", str(path)],
+        "simulate": ["simulate", "--gate", str(path), "--inputs", "0,1"],
+        "report": ["report", "--table", str(path)],
+    }[command]
+    code, out, err = run_cli(argv, capsys)
     assert code == 2
-    assert "error" in err
+    assert out == "" and "Traceback" not in err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_non_symmetric_table_exits_1(tmp_path, capsys):

@@ -25,6 +25,7 @@ from qhckit.errors import (
 from qhckit.linalg import cycle_spectrum
 from qhckit.synth import (
     QhcGate,
+    RowCheck,
     analyze_symmetry,
     find_cycle,
     index_to_label,
@@ -36,6 +37,7 @@ from oracles import (
     orbit_permutation,
     permutation_matrix,
     satisfying_permutations,
+    shortest_orbit,
     weight_table,
 )
 
@@ -126,25 +128,25 @@ def test_analyze_symmetry_rejects_weight_conflict():
 
 
 def test_find_cycle_half_and_full():
-    assert find_cycle(analyze_symmetry(half_adder_truth_table()), 2) == (0, 1, 3)
-    assert find_cycle(analyze_symmetry(full_adder_truth_table()), 2) == (0, 1, 2, 3)
+    assert find_cycle(analyze_symmetry(half_adder_truth_table())) == (0, 1, 3)
+    assert find_cycle(analyze_symmetry(full_adder_truth_table())) == (0, 1, 2, 3)
     assert synthesize(half_adder_truth_table()).length == 3
     assert synthesize(full_adder_truth_table()).length == 4
 
 
 def test_find_cycle_rejections():
     with pytest.raises(NotSymmetric):
-        find_cycle(None, 2)
+        find_cycle(None)
     with pytest.raises(InitialStateMismatch):
-        find_cycle(("01", "00"), 2)
+        find_cycle(("01", "00"))
     # weight-1 and weight-2 outputs coincide but differ from weight 0:
     # the walk would need to stall, which no permutation does
     with pytest.raises(NonEmbeddable):
-        find_cycle(("00", "01", "01"), 2)
+        find_cycle(("00", "01", "01"))
 
 
 def test_find_cycle_constant_table_gives_identity():
-    assert find_cycle(("0", "0"), 1) == (0,)
+    assert find_cycle(("0", "0")) == (0,)
     gate = synthesize(TruthTable(1, 1, {(0,): "0", (1,): "0"}))
     assert gate.cycle.orbit == (0,) and gate.length == 1
     assert np.max(np.abs(gate.unitary(0.8) - np.eye(2))) < 1e-12
@@ -152,7 +154,28 @@ def test_find_cycle_constant_table_gives_identity():
 
 def test_find_cycle_wraps_shorter_period():
     # weights 0,1,2 map to 00,01,00: a two-cycle traversed one and a half times
-    assert find_cycle(("00", "01", "00"), 2) == (0, 1)
+    assert find_cycle(("00", "01", "00")) == (0, 1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(qubits=st.integers(1, 6), input_count=st.integers(1, 40), data=st.data())
+def test_find_cycle_matches_the_shortest_orbit_oracle(qubits, input_count, data):
+    # Walk a random orbit from 0, then overwrite up to two weights at random.
+    dim = 2**qubits
+    others = data.draw(st.permutations(range(1, dim)))
+    length = data.draw(st.integers(1, min(input_count + 1, dim)))
+    orbit = (0, *others[: length - 1])
+    targets = [orbit[w % length] for w in range(input_count + 1)]
+    for _ in range(data.draw(st.integers(0, 2))):
+        targets[data.draw(st.integers(0, input_count))] = data.draw(st.integers(0, dim - 1))
+    labels = tuple(index_to_label(t, qubits) for t in targets)
+    try:
+        expected = shortest_orbit(labels, qubits)
+    except SynthesisError as exc:
+        with pytest.raises(type(exc)):
+            find_cycle(labels)
+    else:
+        assert find_cycle(labels) == expected
 
 
 def test_synthesized_permutation_matches_oracle():
@@ -185,6 +208,16 @@ def test_verify_flags_exactly_the_altered_row():
     assert not report.passed
     failures = [row.inputs for row in report.rows if row.obtained != row.expected]
     assert failures == [(1, 1, 0)]
+
+
+def test_verify_scores_a_label_off_the_orbit():
+    # '10' (index 2) is off the half adder's orbit (0, 1, 3), at weight 0.
+    rows = dict(half_adder_truth_table().rows)
+    rows[(0, 0)] = "10"
+    report = verify(synthesize(half_adder_truth_table()), TruthTable(2, 2, rows))
+    assert not report.passed and report.max_deviation == 1.0
+    assert report.rows[0] == RowCheck((0, 0), "10", "00", 1.0)
+    assert all(row.deviation == 0.0 for row in report.rows[1:])
 
 
 def test_verify_dimension_mismatch():
@@ -271,3 +304,18 @@ def test_large_register_needs_no_dense_matrix():
     assert report.passed and len(report.rows) == 8
     assert outcome.label is None and abs(sum(outcome.probabilities) - 1.0) < 1e-10
     assert peak < 16 * 2**20
+
+
+def test_verify_on_a_large_register_stays_on_the_orbit():
+    # N = 20 gives d = 2^20; one complex state vector alone is 16 MiB.
+    labels = tuple(index_to_label(i, 20) for i in (0, 5, 2**20 - 1, 7, 2**19, 3, 0))
+    table = weight_table(labels, 6)
+    gate = synthesize(table)
+    tracemalloc.start()
+    try:
+        report = verify(gate, table)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.passed and len(report.rows) == 64
+    assert peak < 2**20
