@@ -26,14 +26,15 @@ from __future__ import annotations
 
 import json
 import math
+from operator import itemgetter
 from typing import Any
 
 import numpy as np
 
 from .errors import InvalidParameter, ParseError, ValidationError
-from .synth import TruthTable, format_bits
+from .synth import MAX_INPUTS, Columns, TruthTable, binary_values, bit_column, index_to_label
 
-_BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
+_IN, _OUT = itemgetter("in"), itemgetter("out")
 
 
 def _load_json(text: str) -> Any:
@@ -66,39 +67,78 @@ def parse_truth_table(text: str) -> TruthTable:
     if not isinstance(doc["rows"], list):
         raise ParseError("'rows' must be an array")
 
-    rows: dict[tuple[int, ...], str] = {}
-    for position, item in enumerate(doc["rows"]):
-        if not isinstance(item, dict) or "in" not in item or "out" not in item:
-            raise ParseError(f"row {position}: expected an object with 'in' and 'out'")
-        source, target = item["in"], item["out"]
-        for field, value in (("in", source), ("out", target)):
-            if not isinstance(value, str) or not value or value.strip("01"):
-                raise ParseError(
-                    f"row {position}: {field!r} must be a nonempty string of 0/1, got {value!r}"
-                )
-        # Widths are checked once, by TruthTable, which names the same position.
-        key = tuple(source.encode().translate(_BIT_BYTES))
-        if key in rows:
-            raise ValidationError(f"row {position}: duplicate input row '{source}'")
-        rows[key] = target
-    return TruthTable(input_count=inputs, output_qubits=output_qubits, rows=rows)
+    items = doc["rows"]
+    # Rows are read up to the first one that is not an object with "in" and "out".
+    end = len(items)
+    try:
+        sources, targets = list(map(_IN, items)), list(map(_OUT, items))
+    except (KeyError, TypeError):
+        end = next(p for p, item in enumerate(items) if not _is_row(item))
+        sources, targets = list(map(_IN, items[:end])), list(map(_OUT, items[:end]))
+    columns = Columns(
+        *bit_column(sources),
+        *bit_column(targets),
+        lambda p: (tuple(map(int, sources[p])), targets[p]),
+    )
+    # Each row is checked in turn: a bad value, then a repeated input, and
+    # the first fault in document order wins.  Widths are checked once, by
+    # TruthTable, which names the same position.
+    bad = (columns.in_widths < 1) | (columns.out_widths < 1)
+    clean = int(np.argmax(bad)) if bad.any() else end
+    repeat = _first_repeat(sources[:clean], columns.in_bits, columns.in_widths[:clean])
+    if repeat is not None:
+        raise ValidationError(f"row {repeat}: duplicate input row '{sources[repeat]}'")
+    if clean < end:
+        in_fault = columns.in_widths[clean] < 1
+        field, value = ("in", sources[clean]) if in_fault else ("out", targets[clean])
+        raise ParseError(
+            f"row {clean}: {field!r} must be a nonempty string of 0/1, got {value!r}"
+        )
+    if end < len(items):
+        raise ParseError(f"row {end}: expected an object with 'in' and 'out'")
+    return TruthTable(input_count=inputs, output_qubits=output_qubits, rows=columns)
+
+
+def _is_row(item: Any) -> bool:
+    return isinstance(item, dict) and "in" in item and "out" in item
+
+
+def _first_repeat(sources: list[str], bits: np.ndarray, widths: np.ndarray) -> int | None:
+    """Position of the first input equal to an earlier one, or None."""
+    count = len(sources)
+    if count and (widths == widths[0]).all() and widths[0] <= MAX_INPUTS:
+        # One width: the inputs compare as binary numbers.  After a stable
+        # sort, each later copy of a value directly follows an earlier one.
+        keys = binary_values(bits[: count * widths[0]].reshape(count, -1))
+        order = np.argsort(keys, kind="stable")
+        ordered = keys[order]
+        repeats = order[1:][ordered[1:] == ordered[:-1]]
+        return int(repeats.min()) if repeats.size else None
+    first_at = dict(zip(reversed(sources), range(count - 1, -1, -1)))
+    seen_at = np.fromiter(map(first_at.__getitem__, sources), np.intp, count)
+    repeats = np.flatnonzero(seen_at != np.arange(count))
+    return int(repeats[0]) if repeats.size else None
 
 
 def emit_truth_table(table: TruthTable) -> str:
-    """Serialize a table with sorted rows, one per line."""
-    lines = [
-        "{",
-        f'  "inputs": {table.input_count},',
-        f'  "output_qubits": {table.output_qubits},',
-        '  "rows": [',
-    ]
-    rows = sorted(table.rows.items())
-    for position, (bits, label) in enumerate(rows):
-        entry = json.dumps({"in": format_bits(bits), "out": label})
-        comma = "," if position + 1 < len(rows) else ""
-        lines.append(f"    {entry}{comma}")
-    lines += ["  ]", "}", ""]
-    return "\n".join(lines)
+    """Serialize a table with rows in counting order, one per line."""
+    k, n = table.input_count, table.output_qubits
+    entries = (
+        f'    {{"in": "{index_to_label(position, k)}", "out": "{index_to_label(label, n)}"}}'
+        for position, label in enumerate(table.label_indices.tolist())
+    )
+    return "\n".join(
+        [
+            "{",
+            f'  "inputs": {k},',
+            f'  "output_qubits": {n},',
+            '  "rows": [',
+            ",\n".join(entries),
+            "  ]",
+            "}",
+            "",
+        ]
+    )
 
 
 def _real_text(value: float) -> str:

@@ -13,7 +13,10 @@ the gate continuously between them.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence, Sized
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -40,7 +43,7 @@ MAX_INPUTS = 64
 MAX_OUTPUT_QUBITS = 20
 
 
-def format_bits(bits: tuple[int, ...]) -> str:
+def format_bits(bits: Iterable[int]) -> str:
     return "".join(str(b) for b in bits)
 
 
@@ -54,23 +57,139 @@ def index_to_label(index: int, bits: int) -> str:
     return format(index, f"0{bits}b")
 
 
+def bit_column(values: Sequence[object]) -> tuple[np.ndarray, np.ndarray]:
+    """The characters of a column of bit strings as 0/1 bytes, joined, and each value's width.
+
+    A value that is not a string of 0s and 1s gets width -1; the bytes are
+    meaningful only when no width is -1.
+    """
+    strings = values
+    try:
+        text = "".join(strings)
+    except TypeError:  # not every value is a string
+        strings = [value if isinstance(value, str) else "" for value in values]
+        text = "".join(strings)
+    # One byte per character: anything but 0 or 1 lands outside {0, 1}.
+    bits = np.frombuffer(text.encode("ascii", "replace"), np.uint8) - ord("0")
+    widths = _marked_widths(bits, strings)
+    if strings is not values:
+        widths[[not isinstance(value, str) for value in values]] = -1
+    return bits, widths
+
+
+def _marked_widths(bits: np.ndarray, values: Sequence[Sized]) -> np.ndarray:
+    """Each value's length, or -1 where its stretch of ``bits`` holds anything but 0 or 1."""
+    widths = np.fromiter(map(len, values), np.intp, len(values))
+    faults = np.flatnonzero(bits > 1)
+    if faults.size:
+        widths[np.searchsorted(np.cumsum(widths), faults, side="right")] = -1
+    return widths
+
+
+def binary_values(bits: np.ndarray, dtype: type = np.uint64) -> np.ndarray:
+    """Each row of a 0/1 matrix read as a binary number, most significant bit first."""
+    values = np.zeros(len(bits), dtype)
+    for column in bits.T:
+        values <<= 1
+        values |= column
+    return values
+
+
+class Columns(NamedTuple):
+    """A table's rows in the order given, as columns.
+
+    ``in_bits`` and ``out_bits`` hold every row's input and output bits,
+    joined (see ``bit_column``); ``in_widths`` and ``out_widths`` hold each
+    row's widths.  ``given(p)`` returns row p's key and label as written,
+    for error messages.
+    """
+
+    in_bits: np.ndarray
+    in_widths: np.ndarray
+    out_bits: np.ndarray
+    out_widths: np.ndarray
+    given: Callable[[int], tuple[object, object]]
+
+    @classmethod
+    def of_mapping(cls, rows: Mapping[object, object]) -> Columns:
+        keys, labels = list(rows), list(rows.values())
+        try:
+            if not all(map(isinstance, keys, itertools.repeat(tuple))):
+                raise TypeError("a key is not a tuple")
+            # bytes() takes a tuple of ints 0..255 and rejects anything else.
+            in_bits = np.frombuffer(b"".join(map(bytes, keys)), np.uint8)
+            in_widths = _marked_widths(in_bits, keys)
+        except (TypeError, ValueError):
+            # Keys such as (1.0, 0) still count as bits; a key that is not a
+            # tuple of bits gets no text, hence width -1.
+            texts = [
+                format_bits(map(int, key))
+                if isinstance(key, tuple) and _BIT_VALUES.issuperset(key)
+                else None
+                for key in keys
+            ]
+            in_bits, in_widths = bit_column(texts)
+        return cls(in_bits, in_widths, *bit_column(labels), lambda p: (keys[p], labels[p]))
+
+
+class TableRows(Mapping):
+    """A table's rows, read-only: input bits to output label, in counting order.
+
+    The length is known up front; the dict behind the mapping is built the
+    first time a row is read.
+    """
+
+    def __init__(self, input_count: int, output_qubits: int, label_indices: np.ndarray) -> None:
+        self._shape = (input_count, output_qubits)
+        self._label_indices = label_indices
+
+    def __len__(self) -> int:
+        return len(self._label_indices)
+
+    @cached_property
+    def _rows(self) -> dict[tuple[int, ...], str]:
+        input_count, output_qubits = self._shape
+        labels = (index_to_label(index, output_qubits) for index in self._label_indices.tolist())
+        return dict(zip(itertools.product((0, 1), repeat=input_count), labels))
+
+    def __getitem__(self, key: object) -> str:
+        return self._rows[key]
+
+    def __iter__(self) -> Iterator[tuple[int, ...]]:
+        return iter(self._rows)
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, TableRows):
+            return self._shape == other._shape and np.array_equal(
+                self._label_indices, other._label_indices
+            )
+        return super().__eq__(other)
+
+    def __repr__(self) -> str:
+        return repr(self._rows)
+
+
 @dataclass(frozen=True)
 class TruthTable:
     """Complete Boolean function on ``input_count`` bits.
 
     ``rows`` maps every input combination, as a tuple of 0/1 ints, to the
     output register's basis-state label, a string of ``output_qubits`` bits
-    with the most significant bit first.  ``labels_by_weight[w]`` holds the
-    labels of the rows with exactly ``w`` ones; a gate sees its inputs only
-    through that weight, so the rest of the package reads this profile.
+    with the most significant bit first.  After validation a table keeps
+    ``label_indices``, the basis index of each row's label with the rows in
+    counting order, and ``rows`` becomes a read-only ``TableRows`` view of
+    it.  ``labels_by_weight[w]`` holds the labels of the rows with exactly
+    ``w`` ones; a gate sees its inputs only through that weight, so the rest
+    of the package reads this profile.
     """
 
     input_count: int
     output_qubits: int
-    rows: dict[tuple[int, ...], str]
+    rows: Mapping[tuple[int, ...], str]
+    label_indices: np.ndarray = field(init=False, repr=False, compare=False)
     labels_by_weight: tuple[frozenset[str], ...] = field(init=False, repr=False, compare=False)
 
-    # Frozen, but ``rows`` is a dict: declare the table unhashable outright.
+    # Frozen, but its rows compare by value: declare the table unhashable outright.
     __hash__ = None
 
     def __post_init__(self) -> None:
@@ -81,28 +200,43 @@ class TruthTable:
             raise ValidationError(
                 f"output qubit count must be 1 to {MAX_OUTPUT_QUBITS}, got {self.output_qubits}"
             )
-        k = self.input_count
-        by_weight: list[set[str]] = [set() for _ in range(k + 1)]
-        # Rows are named by position in ``rows``, which for a parsed table is
-        # the position in the document.
-        for position, (key, label) in enumerate(self.rows.items()):
-            if not (isinstance(key, tuple) and len(key) == k and _BIT_VALUES.issuperset(key)):
+        k, n = self.input_count, self.output_qubits
+        # The parser hands over columns; a mapping is turned into the same ones.
+        columns = self.rows if isinstance(self.rows, Columns) else Columns.of_mapping(self.rows)
+        bad_input = columns.in_widths != k
+        bad = bad_input | (columns.out_widths != n)
+        if bad.any():
+            # Rows are named by position, which for a parsed table is the
+            # position in the document.
+            position = int(np.argmax(bad))
+            key, label = columns.given(position)
+            if bad_input[position]:
                 raise ValidationError(f"row {position}: input {key!r} is not {k} bits")
-            if not isinstance(label, str) or label.strip("01") or len(label) != self.output_qubits:
-                raise ValidationError(
-                    f"row {position}: bad output label {label!r}; "
-                    f"expected {self.output_qubits} bits"
-                )
-            by_weight[sum(key)].add(label)
-        # The keys are now distinct k-bit rows, so fewer than 2^k of them means
-        # a row is missing; the first one in counting order is among the first
-        # len(rows) + 1 candidates.  The shift avoids evaluating 2^k for huge k.
-        if len(self.rows) >> k == 0:
-            missing = next(
-                bits for bits in itertools.product((0, 1), repeat=k) if bits not in self.rows
-            )
-            raise ValidationError(f"missing input row '{format_bits(missing)}'")
+            raise ValidationError(f"row {position}: bad output label {label!r}; expected {n} bits")
+        count = len(bad)
+        bits = columns.in_bits.reshape(count, k)
+        keys = binary_values(bits)
+        # The keys are distinct (the parser rejects duplicates, and a mapping
+        # cannot hold any), so fewer than 2^k of them means a row is missing:
+        # the first one in counting order is the first gap in the sorted keys.
+        # The shift avoids evaluating 2^k for huge k.
+        if count >> k == 0:
+            gaps = np.sort(keys) != np.arange(count, dtype=np.uint64)
+            missing = int(np.argmax(gaps)) if gaps.any() else count
+            raise ValidationError(f"missing input row '{index_to_label(missing, k)}'")
+        outputs = binary_values(columns.out_bits.reshape(count, n), np.uint32)
+        label_indices = np.empty(count, np.uint32)
+        label_indices[keys] = outputs
+        label_indices.flags.writeable = False
+        # Each distinct (weight, label) pair, packed into one 27-bit integer.
+        # (np.unique would import numpy.ma, 40 ms on a cold start.)
+        pairs = np.sort(bits.sum(axis=1, dtype=np.uint32) << n | outputs)
+        by_weight: list[set[str]] = [set() for _ in range(k + 1)]
+        for pair in pairs[np.append(True, pairs[1:] != pairs[:-1])].tolist():
+            by_weight[pair >> n].add(index_to_label(pair & (2**n - 1), n))
+        object.__setattr__(self, "label_indices", label_indices)
         object.__setattr__(self, "labels_by_weight", tuple(map(frozenset, by_weight)))
+        object.__setattr__(self, "rows", TableRows(k, n, label_indices))
 
     @property
     def dim(self) -> int:
@@ -199,9 +333,51 @@ class RowCheck:
     deviation: float
 
 
+class RowChecks(Sequence):
+    """A report's row checks in counting order, each built when it is read.
+
+    ``outcomes[weight, label index]`` holds the expected label, the obtained
+    label and the deviation shared by every row with that weight and label.
+    Indexing takes negative positions, and a slice returns a tuple.
+    """
+
+    def __init__(
+        self, table: TruthTable, outcomes: dict[tuple[int, int], tuple[str, str, float]]
+    ) -> None:
+        self._input_count = table.input_count
+        self._label_indices = table.label_indices
+        self._outcomes = outcomes
+
+    def __len__(self) -> int:
+        return len(self._label_indices)
+
+    def _check(self, bits: tuple[int, ...], label_index: int) -> RowCheck:
+        return RowCheck(bits, *self._outcomes[sum(bits), label_index])
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(self[position] for position in range(len(self))[index])
+        position = range(len(self))[index]
+        bits = tuple(map(int, index_to_label(position, self._input_count)))
+        return self._check(bits, int(self._label_indices[position]))
+
+    def __iter__(self) -> Iterator[RowCheck]:
+        rows = itertools.product((0, 1), repeat=self._input_count)
+        return map(self._check, rows, self._label_indices.tolist())
+
+    def __eq__(self, other: object) -> bool:
+        return tuple(self) == (tuple(other) if isinstance(other, RowChecks) else other)
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
+
+
 @dataclass(frozen=True)
 class VerificationReport:
-    rows: tuple[RowCheck, ...]
+    rows: Sequence[RowCheck]
     passed: bool
     max_deviation: float
 
@@ -212,30 +388,30 @@ def verify(gate: QhcGate, table: TruthTable, tolerance: float = 1e-9) -> Verific
     For each row the all-zero state is evolved with ``s`` equal to the input
     weight; the result must match the expected basis state entrywise within
     ``tolerance``.  A row's outcome depends only on its weight and label, so
-    each weight is evolved once and each of its labels scored once.  The state
-    lies on the orbit: its L entries plus one zero stand for all d of them.
+    each weight is evolved once and each of its labels scored once; the
+    report's ``rows`` builds a row's check from those scores when it is read.
+    The state lies on the orbit: its L entries plus one zero stand for all d
+    of them.
     """
     if gate.dim != table.dim:
         raise DimensionError(
             f"gate dimension {gate.dim} does not match table dimension {table.dim}"
         )
     orbit_labels = [index_to_label(index, table.output_qubits) for index in gate.cycle.orbit]
-    obtained = []
-    deviations = {}
+    outcomes = {}
     for weight, labels in enumerate(table.labels_by_weight):
         amplitudes = np.append(orbit_column(gate.cycle, weight), 0.0)
-        obtained.append(orbit_labels[int(np.argmax(np.abs(amplitudes)))])
+        obtained = orbit_labels[int(np.argmax(np.abs(amplitudes)))]
         for label in labels:
             error = amplitudes.copy()
             error[orbit_labels.index(label) if label in orbit_labels else -1] -= 1.0
-            deviations[weight, label] = float(np.max(np.abs(error)))
-    worst = max(deviations.values())
-    passed = worst <= tolerance and all(obtained[w] == label for w, label in deviations)
-    checks = tuple(
-        RowCheck(bits, label, obtained[sum(bits)], deviations[sum(bits), label])
-        for bits, label in sorted(table.rows.items())
+            deviation = float(np.max(np.abs(error)))
+            outcomes[weight, label_to_index(label)] = (label, obtained, deviation)
+    worst = max(deviation for _, _, deviation in outcomes.values())
+    passed = worst <= tolerance and all(want == got for want, got, _ in outcomes.values())
+    return VerificationReport(
+        rows=RowChecks(table, outcomes), passed=passed, max_deviation=worst
     )
-    return VerificationReport(rows=checks, passed=passed, max_deviation=worst)
 
 
 def qubit_count(table: TruthTable) -> int:

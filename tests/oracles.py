@@ -10,11 +10,13 @@ so agreement is meaningful.
 from __future__ import annotations
 
 import itertools
+import json
 
 import numpy as np
 
 from qhckit import TruthTable
-from qhckit.errors import InitialStateMismatch, NonEmbeddable
+from qhckit.errors import InitialStateMismatch, NonEmbeddable, ParseError, ValidationError
+from qhckit.synth import MAX_INPUTS, MAX_OUTPUT_QUBITS, RowCheck
 
 
 def permutation_matrix(perm: tuple[int, ...]) -> np.ndarray:
@@ -94,3 +96,83 @@ def shortest_orbit(weight_labels: tuple[str, ...], output_qubits: int) -> tuple[
         ):
             return tuple(orbit)
     raise NonEmbeddable(f"no orbit through {weight_labels}")
+
+
+def parse_truth_table_oracle(text: str):
+    """Parse a truth-table document one row at a time, as the package once did.
+
+    Returns ``(input_count, output_qubits, rows, labels_by_weight)`` or
+    raises the error the package must raise, with the same message.  The
+    document must be valid JSON without NaN or Infinity.
+    """
+    doc = json.loads(text)
+    if not isinstance(doc, dict):
+        raise ParseError(f"expected a JSON object, got {type(doc).__name__}")
+    for field in ("inputs", "output_qubits", "rows"):
+        if field not in doc:
+            raise ParseError(f"missing field {field!r}")
+    inputs = doc["inputs"]
+    output_qubits = doc["output_qubits"]
+    if not isinstance(inputs, int) or isinstance(inputs, bool):
+        raise ParseError(f"'inputs' must be an integer, got {inputs!r}")
+    if not isinstance(output_qubits, int) or isinstance(output_qubits, bool):
+        raise ParseError(f"'output_qubits' must be an integer, got {output_qubits!r}")
+    if not isinstance(doc["rows"], list):
+        raise ParseError("'rows' must be an array")
+    rows = {}
+    for position, item in enumerate(doc["rows"]):
+        if not isinstance(item, dict) or "in" not in item or "out" not in item:
+            raise ParseError(f"row {position}: expected an object with 'in' and 'out'")
+        source, target = item["in"], item["out"]
+        for field, value in (("in", source), ("out", target)):
+            if not isinstance(value, str) or not value or value.strip("01"):
+                raise ParseError(
+                    f"row {position}: {field!r} must be a nonempty string of 0/1, got {value!r}"
+                )
+        key = tuple(int(c) for c in source)
+        if key in rows:
+            raise ValidationError(f"row {position}: duplicate input row '{source}'")
+        rows[key] = target
+    return (inputs, output_qubits, rows, validate_rows_oracle(inputs, output_qubits, rows))
+
+
+def validate_rows_oracle(input_count: int, output_qubits: int, rows: dict):
+    """``labels_by_weight`` of a table given as a dict, checked one row at a time.
+
+    Raises the ``ValidationError`` the package must raise, with the same message.
+    """
+    if not 1 <= input_count <= MAX_INPUTS:
+        raise ValidationError(f"input count must be 1 to {MAX_INPUTS}, got {input_count}")
+    if not 1 <= output_qubits <= MAX_OUTPUT_QUBITS:
+        raise ValidationError(
+            f"output qubit count must be 1 to {MAX_OUTPUT_QUBITS}, got {output_qubits}"
+        )
+    by_weight = [set() for _ in range(input_count + 1)]
+    for position, (key, label) in enumerate(rows.items()):
+        if not (isinstance(key, tuple) and len(key) == input_count and {0, 1}.issuperset(key)):
+            raise ValidationError(f"row {position}: input {key!r} is not {input_count} bits")
+        if not isinstance(label, str) or label.strip("01") or len(label) != output_qubits:
+            raise ValidationError(
+                f"row {position}: bad output label {label!r}; expected {output_qubits} bits"
+            )
+        by_weight[int(sum(key))].add(label)  # a key may hold 1.0 or True
+    if len(rows) < 2**input_count:
+        missing = next(
+            bits for bits in itertools.product((0, 1), repeat=input_count) if bits not in rows
+        )
+        raise ValidationError(f"missing input row '{''.join(map(str, missing))}'")
+    return tuple(map(frozenset, by_weight))
+
+
+def row_checks_oracle(orbit: tuple[int, ...], table: TruthTable) -> tuple[RowCheck, ...]:
+    """Every row's check, in sorted row order, from exact permutation powers."""
+    dim = table.dim
+    step = orbit_permutation(orbit, dim).real
+    checks = []
+    for bits, expected in sorted(table.rows.items()):
+        state = np.linalg.matrix_power(step, sum(bits))[:, 0]
+        target = np.zeros(dim)
+        target[int(expected, 2)] = 1.0
+        obtained = format(int(np.argmax(state)), f"0{table.output_qubits}b")
+        checks.append(RowCheck(bits, expected, obtained, float(np.max(np.abs(state - target)))))
+    return tuple(checks)

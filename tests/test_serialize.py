@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import numpy as np
@@ -5,12 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qhckit import TruthTable, half_adder_truth_table, parse_truth_table
+from qhckit import QhcError, TruthTable, half_adder_truth_table, parse_truth_table
 from qhckit.errors import InvalidParameter, ParseError, ValidationError
 from qhckit.gates import half_adder_closed_form
 from qhckit.serialize import emit_matrix, emit_truth_table, parse_matrix
 
-from oracles import orbit_permutation
+from oracles import orbit_permutation, parse_truth_table_oracle
 
 HALF_ADDER_DOC = """\
 {
@@ -170,3 +171,126 @@ def test_emit_truth_table_sorts_rows():
     text = emit_truth_table(TruthTable(2, 2, rows))
     order = [line.split('"')[3] for line in text.splitlines() if '"in"' in line]
     assert order == ["00", "01", "10", "11"]
+
+
+def test_emit_parse_emit_is_byte_identical_at_twelve_inputs():
+    # A non-symmetric table: row i maps to (i * 2654435761) mod 8.
+    rows = {
+        bits: format(i * 2654435761 % 8, "03b")
+        for i, bits in enumerate(itertools.product((0, 1), repeat=12))
+    }
+    built = TruthTable(12, 3, rows)
+    text = emit_truth_table(built)
+    parsed = parse_truth_table(text)
+    assert parsed == built
+    assert emit_truth_table(parsed) == text
+    assert emit_truth_table(parse_truth_table(emit_truth_table(parsed))) == text
+    assert text.count("\n") == 2**12 + 6
+
+
+# Values an "in" or "out" field may take: bit strings of several widths
+# ("01" next to "1"), empty strings, other text and non-strings.
+FIELD_VALUES = st.one_of(
+    st.text(alphabet="01", max_size=4),
+    st.sampled_from(["", "2", "0a", " 1", "1\n", "\u0661", "\uff10", "0\x00"]),
+    st.none(),
+    st.booleans(),
+    st.integers(-2, 2),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.lists(st.sampled_from(["0", "1"]), max_size=2),
+    st.dictionaries(st.sampled_from(["in", "out"]), st.just("0"), max_size=1),
+)
+NON_OBJECTS = st.one_of(
+    st.none(),
+    st.integers(-2, 2),
+    st.text(alphabet="01", max_size=2),
+    st.lists(st.just("0"), max_size=2),
+)
+HEADER_EDITS = st.sampled_from(
+    [None] * 40 + [
+        ("inputs", 0), ("inputs", 65), ("inputs", "2"), ("inputs", True), ("inputs", 1.0),
+        ("output_qubits", 0), ("output_qubits", 21), ("output_qubits", None), ("rows", {}),
+    ]
+)
+
+
+@st.composite
+def truth_table_documents(draw):
+    """A complete table's document with 0-4 edits that may break it."""
+    k, n = draw(st.integers(1, 3)), draw(st.integers(1, 2))
+    labels = st.text(alphabet="01", min_size=n, max_size=n)
+    rows = [{"in": format(i, f"0{k}b"), "out": draw(labels)} for i in range(2**k)]
+    rows = draw(st.permutations(rows))
+    for _ in range(draw(st.integers(0, 4))):
+        edit = draw(
+            st.sampled_from(["in", "out", "width", "drop", "non-object", "remove", "copy", "extra"])
+        )
+        at = draw(st.integers(0, len(rows)))
+        if edit == "extra":
+            rows.insert(at, {"in": draw(FIELD_VALUES), "out": draw(FIELD_VALUES)})
+        elif at == len(rows):
+            continue
+        elif edit == "non-object":
+            rows[at] = draw(NON_OBJECTS)
+        elif edit == "remove":
+            del rows[at]
+        elif edit == "copy":
+            rows.insert(draw(st.integers(0, len(rows))), rows[at])
+        elif not isinstance(rows[at], dict):
+            continue
+        elif edit in ("in", "out"):
+            rows[at] = {**rows[at], edit: draw(FIELD_VALUES)}
+        elif edit == "width":
+            field = draw(st.sampled_from(["in", "out"]))
+            rows[at] = {**rows[at], field: draw(st.text(alphabet="01", min_size=1, max_size=4))}
+        else:  # drop a field
+            dropped = draw(st.sampled_from(["in", "out"]))
+            rows[at] = {f: v for f, v in rows[at].items() if f != dropped}
+    doc = {"inputs": k, "output_qubits": n, "rows": rows}
+    header = draw(HEADER_EDITS)
+    if header is not None:
+        doc[header[0]] = header[1]
+    return json.dumps(doc)
+
+
+def outcome(parse, text):
+    try:
+        return parse(text)
+    except QhcError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(truth_table_documents())
+def test_parser_matches_the_row_by_row_oracle(text):
+    want = outcome(parse_truth_table_oracle, text)
+    got = outcome(parse_truth_table, text)
+    if isinstance(got, TruthTable):
+        k, n, rows, labels_by_weight = want
+        assert (got.input_count, got.output_qubits, dict(got.rows)) == (k, n, rows)
+        assert got.labels_by_weight == labels_by_weight
+        assert got == TruthTable(k, n, rows)
+    else:
+        assert got == want
+
+
+@pytest.mark.parametrize(
+    "rows, match",
+    [
+        # A parse fault in a later row wins over a width fault in an earlier one.
+        ([("1", "00"), ("01", "01"), ("10", 7)], "row 2: 'out' must be"),
+        # So does a duplicate; "1" and "01" are different inputs.
+        ([("1", "00"), ("01", "01"), ("01", "01")], "row 2: duplicate input row '01'"),
+        ([("00", "00"), ("1", "01"), ("01", "01")], r"row 1: input \(1,\) is not 2 bits"),
+        # A fault in the "in" field of a row is named before one in its "out".
+        ([("00", "00"), ("0x", "x")], "row 1: 'in' must be"),
+    ],
+)
+def test_first_fault_in_document_order_wins(rows, match):
+    doc = json.dumps(
+        {"inputs": 2, "output_qubits": 2, "rows": [{"in": i, "out": o} for i, o in rows]}
+    )
+    with pytest.raises(QhcError, match=match):
+        parse_truth_table(doc)
+    with pytest.raises(QhcError, match=match):
+        parse_truth_table_oracle(doc)

@@ -1,3 +1,6 @@
+import dataclasses
+import itertools
+import json
 import tracemalloc
 
 import numpy as np
@@ -6,10 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qhckit import (
+    QhcError,
     TruthTable,
     evaluate_continuous,
     full_adder_truth_table,
     half_adder_truth_table,
+    parse_truth_table,
     synthesize,
     verify,
 )
@@ -36,8 +41,10 @@ from qhckit.synth import (
 from oracles import (
     orbit_permutation,
     permutation_matrix,
+    row_checks_oracle,
     satisfying_permutations,
     shortest_orbit,
+    validate_rows_oracle,
     weight_table,
 )
 
@@ -319,3 +326,118 @@ def test_verify_on_a_large_register_stays_on_the_orbit():
         tracemalloc.stop()
     assert report.passed and len(report.rows) == 64
     assert peak < 2**20
+
+
+KEYS = st.one_of(
+    st.tuples(*[st.integers(0, 1)] * 2),
+    st.lists(st.sampled_from([0, 1, True, False, 1.0]), max_size=3).map(tuple),
+    st.lists(st.sampled_from([0, 1, 2, -1, "1", None]), min_size=1, max_size=2).map(tuple),
+    st.sampled_from(["01", 3, None, frozenset({0, 1})]),
+)
+LABELS = st.one_of(
+    st.text(alphabet="01", max_size=3), st.sampled_from(["2", "0b", 1, None, b"01"])
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    input_count=st.integers(1, 2),
+    output_qubits=st.integers(1, 2),
+    rows=st.dictionaries(KEYS, LABELS, max_size=5),
+)
+def test_dict_constructor_matches_the_row_by_row_oracle(input_count, output_qubits, rows):
+    try:
+        want = validate_rows_oracle(input_count, output_qubits, rows)
+    except ValidationError as exc:
+        with pytest.raises(ValidationError) as got:
+            TruthTable(input_count, output_qubits, rows)
+        assert str(got.value) == str(exc)
+        return
+    table = TruthTable(input_count, output_qubits, rows)
+    assert table.labels_by_weight == want
+    assert dict(table.rows) == rows and len(table.rows) == 2**input_count
+
+
+def test_rows_are_a_read_only_view_in_counting_order():
+    rows = {(1, 1): "11", (0, 0): "00", (1, 0): "01", (0, 1): "10"}
+    table = TruthTable(2, 2, rows)
+    assert list(table.rows) == [(0, 0), (0, 1), (1, 0), (1, 1)]
+    assert table.rows == rows and table.rows[(0, 1)] == "10"
+    assert table.label_indices.tolist() == [0, 2, 1, 3]
+    with pytest.raises(TypeError):
+        table.rows[(0, 0)] = "01"
+    with pytest.raises(ValueError):
+        table.label_indices[0] = 1
+    assert TruthTable(2, 2, table.rows) == table != TruthTable(2, 2, {**rows, (0, 0): "01"})
+
+
+def pipeline_excess_peak(text: str) -> int:
+    """Memory that parsing, then synthesis plus verification, add at their peaks, summed.
+
+    Parsing is measured above the peak of ``json.loads`` alone, the rest
+    above the memory the parsed table holds.
+    """
+    tracemalloc.start()
+    try:
+        json.loads(text)
+        _, floor = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        table = parse_truth_table(text)
+        held, parse_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        report = verify(synthesize(table), table)
+        assert report.passed and report.max_deviation == 0.0
+        assert len(table.rows) == len(report.rows) == 2**16
+        _, verify_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return (parse_peak - floor) + (verify_peak - held)
+
+
+def test_unread_rows_are_never_built():
+    # k = 16: weight w maps to w mod 32.  The package adds about 5.5 MiB to
+    # the document's own 19.5 MiB, nearly all while parsing; the row-by-row
+    # parser with eager rows added 13 MiB there and 11 MiB more in verify.
+    # Built eagerly, the 2^16 rows of the table or of the report each add
+    # about 10 MiB or more.
+    rows = [
+        {"in": "".join(bits), "out": format(bits.count("1") % 32, "05b")}
+        for bits in itertools.product("01", repeat=16)
+    ]
+    text = json.dumps({"inputs": 16, "output_qubits": 5, "rows": rows})
+    assert pipeline_excess_peak(text) < 11 * 2**20
+
+
+TABLES_TO_REPLAY = {
+    "half adder": (half_adder_truth_table(), None),
+    "full adder": (full_adder_truth_table(), None),
+    # A k=4, N=3 table on the orbit (0, 1, 5, 3).
+    "k=4": (weight_table(("000", "001", "101", "011", "000"), 4), None),
+    # Rows the gate gets wrong: one on the orbit, one off it.
+    "altered": (full_adder_truth_table(), {(1, 1, 0): "11", (0, 0, 0): "10"}),
+}
+
+
+@pytest.mark.parametrize("name", TABLES_TO_REPLAY)
+def test_lazy_report_rows_match_the_eager_oracle(name):
+    table, changes = TABLES_TO_REPLAY[name]
+    gate = synthesize(table)
+    if changes:
+        table = TruthTable(table.input_count, table.output_qubits, {**table.rows, **changes})
+    report = verify(gate, table)
+    eager = row_checks_oracle(gate.cycle.orbit, table)
+    rows = report.rows
+    assert len(rows) == len(eager) == 2**table.input_count
+    assert tuple(rows) == eager and rows == eager and eager == rows
+    assert [rows[i] for i in range(-len(rows), len(rows))] == list(eager + eager)
+    for outside in (len(rows), -len(rows) - 1):
+        with pytest.raises(IndexError):
+            rows[outside]
+    assert rows[1:-1] == eager[1:-1] and rows[::-3] == eager[::-3]
+    odd = RowCheck((9,), "x", "y", 0.5)
+    assert rows[:-1] + (odd,) == eager[:-1] + (odd,)
+    replaced = dataclasses.replace(report, rows=rows[:-1] + (odd,))
+    assert replaced.rows[-1] is odd and replaced.passed == report.passed
+    assert hash(report) == hash(dataclasses.replace(report, rows=eager))
+    assert report.passed == (changes is None)
+    assert report.max_deviation == max(check.deviation for check in eager)
