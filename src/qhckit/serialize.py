@@ -32,7 +32,7 @@ from typing import Any
 import numpy as np
 
 from .errors import InvalidParameter, ParseError, ValidationError
-from .synth import MAX_INPUTS, Columns, TruthTable, binary_values, bit_column, index_to_label
+from .synth import Columns, TruthTable, bit_column, index_to_label
 
 _IN, _OUT = itemgetter("in"), itemgetter("out")
 
@@ -85,7 +85,7 @@ def parse_truth_table(text: str) -> TruthTable:
     # TruthTable, which names the same position.
     bad = (columns.in_widths < 1) | (columns.out_widths < 1)
     clean = int(np.argmax(bad)) if bad.any() else end
-    repeat = _first_repeat(sources[:clean], columns.in_bits, columns.in_widths[:clean])
+    repeat = _first_repeat(sources[:clean])
     if repeat is not None:
         raise ValidationError(f"row {repeat}: duplicate input row '{sources[repeat]}'")
     if clean < end:
@@ -103,21 +103,16 @@ def _is_row(item: Any) -> bool:
     return isinstance(item, dict) and "in" in item and "out" in item
 
 
-def _first_repeat(sources: list[str], bits: np.ndarray, widths: np.ndarray) -> int | None:
+def _first_repeat(sources: list[str]) -> int | None:
     """Position of the first input equal to an earlier one, or None."""
-    count = len(sources)
-    if count and (widths == widths[0]).all() and widths[0] <= MAX_INPUTS:
-        # One width: the inputs compare as binary numbers.  After a stable
-        # sort, each later copy of a value directly follows an earlier one.
-        keys = binary_values(bits[: count * widths[0]].reshape(count, -1))
-        order = np.argsort(keys, kind="stable")
-        ordered = keys[order]
-        repeats = order[1:][ordered[1:] == ordered[:-1]]
-        return int(repeats.min()) if repeats.size else None
-    first_at = dict(zip(reversed(sources), range(count - 1, -1, -1)))
-    seen_at = np.fromiter(map(first_at.__getitem__, sources), np.intp, count)
-    repeats = np.flatnonzero(seen_at != np.arange(count))
-    return int(repeats[0]) if repeats.size else None
+    if len(set(sources)) == len(sources):
+        return None
+    seen: set[str] = set()
+    for position, source in enumerate(sources):
+        if source in seen:
+            return position
+        seen.add(source)
+    return None
 
 
 def emit_truth_table(table: TruthTable) -> str:

@@ -16,6 +16,7 @@ import itertools
 from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence, Sized
 from dataclasses import dataclass, field
 from functools import cached_property
+from numbers import Integral
 from typing import NamedTuple
 
 import numpy as np
@@ -120,16 +121,19 @@ class Columns(NamedTuple):
             in_bits = np.frombuffer(b"".join(map(bytes, keys)), np.uint8)
             in_widths = _marked_widths(in_bits, keys)
         except (TypeError, ValueError):
-            # Keys such as (1.0, 0) still count as bits; a key that is not a
-            # tuple of bits gets no text, hence width -1.
-            texts = [
-                format_bits(map(int, key))
-                if isinstance(key, tuple) and _BIT_VALUES.issuperset(key)
-                else None
-                for key in keys
-            ]
+            # A key that is not a tuple of integer 0s and 1s, such as (1.0, 0),
+            # gets no text, hence width -1.
+            texts = [format_bits(map(int, key)) if _is_bit_tuple(key) else None for key in keys]
             in_bits, in_widths = bit_column(texts)
         return cls(in_bits, in_widths, *bit_column(labels), lambda p: (keys[p], labels[p]))
+
+
+def _is_bit_tuple(key: object) -> bool:
+    return (
+        isinstance(key, tuple)
+        and all(isinstance(bit, Integral) for bit in key)
+        and _BIT_VALUES.issuperset(key)
+    )
 
 
 class TableRows(Mapping):

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import json
+from numbers import Integral
 
 import numpy as np
 
@@ -140,6 +141,9 @@ def validate_rows_oracle(input_count: int, output_qubits: int, rows: dict):
     """``labels_by_weight`` of a table given as a dict, checked one row at a time.
 
     Raises the ``ValidationError`` the package must raise, with the same message.
+    This is the row-by-row check ``TruthTable`` ran before it read columns,
+    with one difference: a bit that is not an integer, as in (1.0, 0), makes
+    the key "not k bits", where the old check failed with a bare TypeError.
     """
     if not 1 <= input_count <= MAX_INPUTS:
         raise ValidationError(f"input count must be 1 to {MAX_INPUTS}, got {input_count}")
@@ -149,13 +153,18 @@ def validate_rows_oracle(input_count: int, output_qubits: int, rows: dict):
         )
     by_weight = [set() for _ in range(input_count + 1)]
     for position, (key, label) in enumerate(rows.items()):
-        if not (isinstance(key, tuple) and len(key) == input_count and {0, 1}.issuperset(key)):
+        if not (
+            isinstance(key, tuple)
+            and len(key) == input_count
+            and all(isinstance(bit, Integral) for bit in key)
+            and {0, 1}.issuperset(key)
+        ):
             raise ValidationError(f"row {position}: input {key!r} is not {input_count} bits")
         if not isinstance(label, str) or label.strip("01") or len(label) != output_qubits:
             raise ValidationError(
                 f"row {position}: bad output label {label!r}; expected {output_qubits} bits"
             )
-        by_weight[int(sum(key))].add(label)  # a key may hold 1.0 or True
+        by_weight[sum(key)].add(label)
     if len(rows) < 2**input_count:
         missing = next(
             bits for bits in itertools.product((0, 1), repeat=input_count) if bits not in rows

@@ -76,6 +76,9 @@ def test_truth_table_rejects_bad_labels():
         TruthTable(0, 1, {(): "0"})
     with pytest.raises(ValidationError, match="row 0: bad output label 0; expected 1 bits"):
         TruthTable(1, 1, {(0,): 0, (1,): 1})
+    with pytest.raises(ValidationError, match=r"row 1: input \(1\.0, 0\) is not 2 bits"):
+        TruthTable(2, 1, {(0, 0): "0", (1.0, 0): "1", (0, 1): "1", (1, 1): "0"})
+    assert TruthTable(1, 1, {(False,): "0", (True,): "1"}).rows == {(0,): "0", (1,): "1"}
 
 
 @pytest.mark.parametrize(
