@@ -5,8 +5,9 @@ rest.  Its eigenvectors are discrete Fourier vectors supported on the orbit,
 so the spectrum is written down directly, with eigenangles on the principal
 branch (-pi, pi] by construction.  Every function of the permutation is
 therefore the identity (or zero) off the orbit and a circulant on it: one
-orbit column, computed by a single FFT, fixes ``U(s) = exp(-i s H)``, and
-the dense ``U(s)`` and ``H`` are scattered from such columns.
+orbit column, computed as one product with a cached DFT matrix, fixes
+``U(s) = exp(-i s H)``, and the dense ``U(s)`` and ``H`` are scattered from
+such columns.
 
 Everything here is a pure function over immutable values; results can be
 shared across threads freely.
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -80,6 +82,24 @@ def cycle_spectrum(orbit: Sequence[int], dim: int) -> SpectralDecomposition:
     return SpectralDecomposition(dim=dim, orbit=orbit, angles=angles)
 
 
+# A synthesized gate's orbit holds at most 65 states (a prefix of the k + 1
+# weight labels, k <= 64): one cached DFT matrix per length 1..65 is about
+# 1.5 MB in all.
+@lru_cache(maxsize=65)
+def _dft_matrix(length: int) -> np.ndarray:
+    """Read-only L x L matrix of ``exp(-2*pi*i*j*m/L)``, the unnormalized DFT."""
+    steps = np.arange(length)
+    turns = np.outer(steps, steps) % length
+    # Signed residues make entry L - r the exact conjugate of entry r, so a
+    # real input has an exactly conjugate-symmetric transform; quarter turns
+    # are set to 1, -i, -1 and i exactly.
+    matrix = np.exp(-2j * np.pi * np.where(2 * turns > length, turns - length, turns) / length)
+    quarter = 4 * turns % length == 0
+    matrix[quarter] = np.array([1, -1j, -1, 1j])[4 * turns[quarter] // length]
+    matrix.setflags(write=False)
+    return matrix
+
+
 def orbit_column(spectrum: SpectralDecomposition, s: float) -> np.ndarray:
     """Column ``orbit[0]`` of ``U(s)`` at orbit positions 0..L-1.
 
@@ -98,7 +118,7 @@ def orbit_column(spectrum: SpectralDecomposition, s: float) -> np.ndarray:
         column = np.zeros(length, dtype=complex)
         column[int(s) % length] = 1.0
         return column
-    return np.fft.fft(np.exp(1j * s * spectrum.angles)) / length
+    return _dft_matrix(length) @ np.exp(1j * s * spectrum.angles) / length
 
 
 def _circulant_on_orbit(
@@ -133,5 +153,6 @@ def hermitian_generator(spectrum: SpectralDecomposition) -> np.ndarray:
     ``H`` weights each eigenvector by minus its eigenangle; it equals i times
     the principal logarithm of the decomposed permutation.
     """
-    column = -np.fft.fft(spectrum.angles) / len(spectrum.angles)
+    length = len(spectrum.angles)
+    column = _dft_matrix(length) @ -spectrum.angles / length
     return _circulant_on_orbit(spectrum, column, 0.0)

@@ -5,6 +5,10 @@ gates this package produces send Boolean inputs to basis states outright,
 so sampling shots would only blur an answer that is already exact; for
 continuous inputs the full probability list is reported instead and no
 readout convention is imposed.
+
+The readout works on a state's support: a gate's output lies on its orbit,
+so the norm check and the label read only the L orbit amplitudes, and the
+d-entry probability list is built the first time it is read.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DimensionError, InvalidParameter, NonUnitaryError
-from .linalg import unitarity_defect
+from .linalg import orbit_column, unitarity_defect
 from .synth import QhcGate, index_to_label
 
 # Matrices applied to states must be unitary to this entrywise defect.
@@ -50,6 +54,9 @@ class DecodedOutcome:
 
     ``label`` is the big-endian bit string of the dominant basis state when
     its probability reaches the decoding threshold, else None.
+    ``probabilities`` holds one float per basis state; an outcome read from
+    a state's support builds it from the support's probabilities when it is
+    first read.
     """
 
     probabilities: tuple[float, ...]
@@ -58,6 +65,43 @@ class DecodedOutcome:
     @property
     def is_basis(self) -> bool:
         return self.label is not None
+
+    @classmethod
+    def _on_support(
+        cls, label: str | None, dim: int, support: Sequence[int], probabilities: np.ndarray
+    ) -> DecodedOutcome:
+        """An outcome whose ``probabilities`` are ``probabilities`` on ``support``, 0 elsewhere."""
+        outcome = cls.__new__(cls)
+        object.__setattr__(outcome, "label", label)
+        object.__setattr__(outcome, "_support", (dim, support, probabilities))
+        return outcome
+
+    def __getattr__(self, name: str) -> tuple[float, ...]:
+        # Reached only while ``probabilities`` is unset: spread the support's
+        # probabilities over all d basis states, once.
+        if name != "probabilities":
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        dim, support, on_support = self._support
+        probabilities = np.zeros(dim)
+        probabilities[np.asarray(support)] = on_support
+        object.__setattr__(self, "probabilities", tuple(probabilities.tolist()))
+        return self.probabilities
+
+
+def _read_out(
+    dim: int, support: Sequence[int], amplitudes: np.ndarray, tolerance: float
+) -> DecodedOutcome:
+    """Decode a d-entry state given by its amplitudes on ``support``; it is zero elsewhere."""
+    probabilities = np.abs(amplitudes) ** 2
+    total = float(probabilities.sum())
+    # Written with `not <=` so a NaN norm is also rejected.
+    if not abs(total - 1.0) <= NORM_TOLERANCE:
+        raise InvalidParameter(f"state is not normalized: |psi|^2 = {total}")
+    top = int(probabilities.argmax())
+    label = None
+    if probabilities[top] >= 1.0 - tolerance:
+        label = index_to_label(int(support[top]), (dim - 1).bit_length())
+    return DecodedOutcome._on_support(label, dim, support, probabilities)
 
 
 def decode(state: np.ndarray, tolerance: float = BASIS_TOLERANCE) -> DecodedOutcome:
@@ -70,18 +114,9 @@ def decode(state: np.ndarray, tolerance: float = BASIS_TOLERANCE) -> DecodedOutc
     if state.ndim != 1:
         raise DimensionError(f"state must be a vector, got shape {state.shape}")
     size = state.shape[0]
-    bits = (size - 1).bit_length()
-    if size < 2 or 2**bits != size:
+    if size < 2 or 2 ** (size - 1).bit_length() != size:
         raise DimensionError(f"state length {size} is not a power of two")
-    probabilities = np.abs(state) ** 2
-    total = float(probabilities.sum())
-    if abs(total - 1.0) > NORM_TOLERANCE:
-        raise InvalidParameter(f"state is not normalized: |psi|^2 = {total}")
-    top = int(np.argmax(probabilities))
-    label = None
-    if probabilities[top] >= 1.0 - tolerance:
-        label = index_to_label(top, bits)
-    return DecodedOutcome(probabilities=tuple(probabilities.tolist()), label=label)
+    return _read_out(size, np.arange(size), state, tolerance)
 
 
 def evaluate_continuous(
@@ -92,7 +127,8 @@ def evaluate_continuous(
     The gate sees its inputs only through their sum, which becomes the
     evolution parameter applied to the all-zeros state.  Boolean inputs
     reproduce the synthesized truth table as sharp basis outcomes; anything
-    else generally lands in a superposition.
+    else generally lands in a superposition.  The state is read on the
+    gate's orbit, where all its amplitude lies.
     """
     values = [float(x) for x in inputs]
     if len(values) != gate.input_count:
@@ -101,4 +137,5 @@ def evaluate_continuous(
         )
     if not all(math.isfinite(x) for x in values):
         raise InvalidParameter(f"inputs must be finite, got {values}")
-    return decode(gate.state(sum(values)), tolerance)
+    column = orbit_column(gate.cycle, sum(values))
+    return _read_out(gate.dim, gate.cycle.orbit, column, tolerance)

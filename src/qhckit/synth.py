@@ -402,15 +402,22 @@ def verify(gate: QhcGate, table: TruthTable, tolerance: float = 1e-9) -> Verific
             f"gate dimension {gate.dim} does not match table dimension {table.dim}"
         )
     orbit_labels = [index_to_label(index, table.output_qubits) for index in gate.cycle.orbit]
-    outcomes = {}
-    for weight, labels in enumerate(table.labels_by_weight):
-        amplitudes = np.append(orbit_column(gate.cycle, weight), 0.0)
-        obtained = orbit_labels[int(np.argmax(np.abs(amplitudes)))]
-        for label in labels:
-            error = amplitudes.copy()
-            error[orbit_labels.index(label) if label in orbit_labels else -1] -= 1.0
-            deviation = float(np.max(np.abs(error)))
-            outcomes[weight, label_to_index(label)] = (label, obtained, deviation)
+    slot = {label: position for position, label in enumerate(orbit_labels)}
+    length = gate.length
+    # Row w holds the state at s = w: its orbit column, then one zero that
+    # stands for every off-orbit state.
+    amplitudes = np.zeros((len(table.labels_by_weight), length + 1), complex)
+    amplitudes[:, :length] = [orbit_column(gate.cycle, w) for w in range(len(amplitudes))]
+    obtained = np.abs(amplitudes).argmax(axis=1).tolist()
+    pairs = [(w, label) for w, labels in enumerate(table.labels_by_weight) for label in labels]
+    weights, targets = np.array([(w, slot.get(label, length)) for w, label in pairs]).T
+    # A pair's deviation: |a - 1| at the expected slot, |a| at every other.
+    expected = np.arange(length + 1) == targets[:, None]
+    deviations = np.abs(amplitudes[weights] - expected).max(axis=1).tolist()
+    outcomes = {
+        (w, label_to_index(label)): (label, orbit_labels[obtained[w]], deviation)
+        for (w, label), deviation in zip(pairs, deviations)
+    }
     worst = max(deviation for _, _, deviation in outcomes.values())
     passed = worst <= tolerance and all(want == got for want, got, _ in outcomes.values())
     return VerificationReport(

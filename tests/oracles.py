@@ -37,6 +37,12 @@ def orbit_permutation(orbit: tuple[int, ...], dim: int) -> np.ndarray:
     return permutation_matrix(tuple(perm))
 
 
+def orbit_column_fft(angles: np.ndarray, s: float) -> np.ndarray:
+    """Orbit column of ``U(s)`` by numpy's FFT, with ``s`` reduced mod L first."""
+    length = len(angles)
+    return np.fft.fft(np.exp(1j * np.fmod(s, length) * angles)) / length
+
+
 def weight_table(weight_labels: tuple[str, ...], input_count: int) -> TruthTable:
     """Symmetric table whose weight-w inputs all map to weight_labels[w]."""
     rows = {

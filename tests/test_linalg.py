@@ -7,9 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qhckit.errors import InvalidOrbit, InvalidParameter
-from qhckit.linalg import cycle_spectrum, exp_from_spectrum, hermitian_generator, unitarity_defect
+from qhckit.linalg import (
+    cycle_spectrum,
+    exp_from_spectrum,
+    hermitian_generator,
+    orbit_column,
+    unitarity_defect,
+)
 
-from oracles import orbit_permutation
+from oracles import orbit_column_fft, orbit_permutation
 
 
 def fourier_vectors(orbit, dim):
@@ -155,3 +161,28 @@ def test_unitarity_defect_values():
     assert unitarity_defect(np.ones((2, 2))) == 2.0
     spectrum = cycle_spectrum((0, 1, 3), 4)
     assert unitarity_defect(exp_from_spectrum(spectrum, 0.37)) < 1e-12
+
+
+def test_dft_columns_match_an_fft_reference():
+    # Orbits of synthesized gates hold 1 to 65 states.
+    for length in range(1, 66):
+        spectrum = cycle_spectrum(tuple(range(length)), 128)
+        for s in (0.5, -2.37, 0.75 + 3e5, length - 1e-9, 1e-7):
+            gap = np.max(np.abs(orbit_column(spectrum, s) - orbit_column_fft(spectrum.angles, s)))
+            assert gap < 1e-12, (length, s)
+        h = hermitian_generator(spectrum)
+        reference = -np.fft.fft(spectrum.angles) / length
+        assert np.max(np.abs(h[:length, 0] - reference)) < 1e-12, length
+        assert np.array_equal(h, h.conj().T), length
+    # Half turns are exact: the 2-cycle's generator has no imaginary residue.
+    two_cycle = np.pi / 2 * np.array([[-1, 1], [1, -1]])
+    assert np.array_equal(hermitian_generator(cycle_spectrum((0, 1), 2)), two_cycle)
+
+
+def test_integer_parameters_give_exact_one_hot_columns():
+    for length in (1, 2, 3, 4, 7, 65):
+        spectrum = cycle_spectrum(tuple(range(length)), 128)
+        for s in [*range(-2 * length, 2 * length + 1), -0.0, 2.0**53, -(2.0**60)]:
+            expected = np.zeros(length, dtype=complex)
+            expected[int(s) % length] = 1.0
+            assert np.array_equal(orbit_column(spectrum, s), expected), (length, s)

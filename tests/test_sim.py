@@ -1,14 +1,19 @@
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qhckit import evaluate_continuous, full_adder_truth_table, half_adder_truth_table, synthesize
 from qhckit.errors import DimensionError, InvalidParameter, NonUnitaryError
 from qhckit.gates import half_adder_closed_form
-from qhckit.sim import apply, decode
+from qhckit.sim import DecodedOutcome, apply, decode
+from qhckit.synth import index_to_label
 
-from oracles import orbit_permutation
+from oracles import orbit_permutation, weight_table
 
 
 def all_zeros(dim):
@@ -77,6 +82,15 @@ def test_decode_rejects_bad_states():
         decode(np.eye(4, dtype=complex))
 
 
+@pytest.mark.parametrize(
+    "state",
+    [[math.nan, 0, 0, 0], [math.inf, 0, 0, 0], [0, -math.inf, 0, 0], [complex(1, math.nan), 0, 0, 0]],
+)
+def test_decode_rejects_non_finite_states(state):
+    with pytest.raises(InvalidParameter, match="not normalized"):
+        decode(np.array(state, dtype=complex))
+
+
 def test_evaluate_boolean_rows_for_both_gates():
     for table in (half_adder_truth_table(), full_adder_truth_table()):
         gate = synthesize(table)
@@ -99,3 +113,83 @@ def test_evaluate_validates_inputs():
         evaluate_continuous(gate, (1.0,))
     with pytest.raises(InvalidParameter):
         evaluate_continuous(gate, (1.0, math.nan))
+
+
+def _near_integer_sum(input_count):
+    """Inputs whose sum lies within 1e-7 of an integer."""
+    return st.tuples(
+        st.lists(st.floats(-10, 10), min_size=input_count - 1, max_size=input_count - 1),
+        st.integers(-3 * input_count, 3 * input_count),
+        st.floats(-1e-7, 1e-7),
+    ).map(lambda parts: [*parts[0], parts[1] + parts[2] - sum(parts[0])])
+
+
+@settings(max_examples=300, deadline=None)
+@given(qubits=st.integers(1, 10), input_count=st.integers(1, 8), data=st.data())
+def test_orbit_readout_matches_the_dense_decode(qubits, input_count, data):
+    dim = 2**qubits
+    length = data.draw(st.integers(1, min(input_count + 1, dim)))
+    others = data.draw(
+        st.lists(st.integers(1, dim - 1), min_size=length - 1, max_size=length - 1, unique=True)
+    )
+    orbit = (0, *others)
+    labels = tuple(index_to_label(orbit[w % length], qubits) for w in range(input_count + 1))
+    gate = synthesize(weight_table(labels, input_count))
+    inputs = data.draw(
+        st.one_of(
+            st.lists(st.floats(-50, 50), min_size=input_count, max_size=input_count),
+            _near_integer_sum(input_count),
+        )
+    )
+    outcome = evaluate_continuous(gate, inputs)
+    dense = decode(gate.state(sum(inputs)))
+    assert outcome.label == dense.label
+    assert len(outcome.probabilities) == dim
+    assert np.max(np.abs(np.array(outcome.probabilities) - dense.probabilities)) <= 1e-12
+
+
+def test_large_register_label_reads_only_the_orbit():
+    # N = 20 gives d = 2^20: a d-entry float array alone is 8 MiB.
+    labels = tuple(index_to_label(i, 20) for i in (0, 5, 2**20 - 1, 7, 2**19, 3, 0))
+    gate = synthesize(weight_table(labels, 6))
+    tracemalloc.start()
+    try:
+        outcome = evaluate_continuous(gate, (0.5, 0.25, 1.0, 0.0, 0.0, 0.0))
+        label = outcome.label
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert label is None and peak < 2**20
+    probabilities = outcome.probabilities
+    assert len(probabilities) == 2**20
+    assert abs(math.fsum(probabilities) - 1.0) < 1e-10
+
+
+def test_decoded_outcome_contract():
+    gate = synthesize(half_adder_truth_table())
+    # 0.5 + 0.25 == 0.25 + 0.5: the same state, read twice.
+    first, second = (evaluate_continuous(gate, x) for x in ((0.5, 0.25), (0.25, 0.5)))
+    assert first == second  # neither has been read yet
+    unread = evaluate_continuous(gate, (0.5, 0.25))
+    text = repr(unread)
+    probabilities = first.probabilities
+    assert type(probabilities) is tuple and len(probabilities) == 4
+    assert all(type(p) is float for p in probabilities)
+    eager = DecodedOutcome(probabilities=probabilities, label=None)
+    assert text == f"DecodedOutcome(probabilities={probabilities!r}, label=None)" == repr(eager)
+    assert eager == evaluate_continuous(gate, (0.75, 0.0)) == unread
+    assert evaluate_continuous(gate, (0.75, 0.0)) == eager
+    assert hash(evaluate_continuous(gate, (0.75, 0.0))) == hash(eager) == hash(unread)
+    assert len({first, second, eager, unread}) == 1
+    assert evaluate_continuous(gate, (0.5, 0.0)) != eager
+    sharp = evaluate_continuous(gate, (1, 1))
+    assert sharp.label == "11" and sharp.is_basis
+    assert sharp != DecodedOutcome(probabilities=(0.0, 0.0, 0.0, 1.0), label=None)
+    for outcome in (evaluate_continuous(gate, (0.5, 0.25)), eager):
+        for name in ("probabilities", "label"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(outcome, name, None)
+    swapped = dataclasses.replace(evaluate_continuous(gate, (0.5, 0.25)), label="00")
+    assert swapped.probabilities == probabilities and swapped.label == "00"
+    with pytest.raises(AttributeError, match="margin"):
+        evaluate_continuous(gate, (0.5, 0.25)).margin

@@ -228,6 +228,11 @@ def test_verify_scores_a_label_off_the_orbit():
     assert not report.passed and report.max_deviation == 1.0
     assert report.rows[0] == RowCheck((0, 0), "10", "00", 1.0)
     assert all(row.deviation == 0.0 for row in report.rows[1:])
+    # Weight 2 lands in the orbit's last slot; '10' there still deviates by 1.
+    rows = dict(half_adder_truth_table().rows)
+    rows[(1, 1)] = "10"
+    report = verify(synthesize(half_adder_truth_table()), TruthTable(2, 2, rows))
+    assert report.rows[3] == RowCheck((1, 1), "10", "11", 1.0)
 
 
 def test_verify_dimension_mismatch():
