@@ -5,7 +5,8 @@ rest.  Its eigenvectors are discrete Fourier vectors supported on the orbit,
 so the spectrum is written down directly, with eigenangles on the principal
 branch (-pi, pi] by construction.  Every function of the permutation is
 therefore the identity (or zero) off the orbit and a circulant on it: one
-orbit column, computed as one product with a cached DFT matrix, fixes
+orbit column, computed as one product with a cached DFT matrix (numpy's
+FFT for orbits longer than any synthesized gate's), fixes
 ``U(s) = exp(-i s H)``, and the dense ``U(s)`` and ``H`` are scattered from
 such columns.
 
@@ -83,9 +84,13 @@ def cycle_spectrum(orbit: Sequence[int], dim: int) -> SpectralDecomposition:
 
 
 # A synthesized gate's orbit holds at most 65 states (a prefix of the k + 1
-# weight labels, k <= 64): one cached DFT matrix per length 1..65 is about
-# 1.5 MB in all.
-@lru_cache(maxsize=65)
+# weight labels, k <= 64).  Transforms up to that length are one product with
+# a cached DFT matrix, about 1.5 MB for all 65 lengths; longer orbits, which
+# only direct callers of this module build, take numpy's FFT and cache nothing.
+MAX_MATRIX_DFT = 65
+
+
+@lru_cache(maxsize=MAX_MATRIX_DFT)
 def _dft_matrix(length: int) -> np.ndarray:
     """Read-only L x L matrix of ``exp(-2*pi*i*j*m/L)``, the unnormalized DFT."""
     steps = np.arange(length)
@@ -98,6 +103,13 @@ def _dft_matrix(length: int) -> np.ndarray:
     matrix[quarter] = np.array([1, -1j, -1, 1j])[4 * turns[quarter] // length]
     matrix.setflags(write=False)
     return matrix
+
+
+def _dft(values: np.ndarray) -> np.ndarray:
+    """Unnormalized DFT of an orbit's L values."""
+    if len(values) > MAX_MATRIX_DFT:
+        return np.fft.fft(values)
+    return _dft_matrix(len(values)) @ values
 
 
 def orbit_column(spectrum: SpectralDecomposition, s: float) -> np.ndarray:
@@ -118,17 +130,21 @@ def orbit_column(spectrum: SpectralDecomposition, s: float) -> np.ndarray:
         column = np.zeros(length, dtype=complex)
         column[int(s) % length] = 1.0
         return column
-    return _dft_matrix(length) @ np.exp(1j * s * spectrum.angles) / length
+    return _dft(np.exp(1j * s * spectrum.angles)) / length
+
+
+def _require_dense(spectrum: SpectralDecomposition) -> None:
+    """Refuse, before any work, a dense matrix larger than the cap."""
+    if spectrum.dim > MAX_DENSE_DIM:
+        raise InvalidParameter(
+            f"dense matrix of dimension {spectrum.dim} exceeds the cap of {MAX_DENSE_DIM}"
+        )
 
 
 def _circulant_on_orbit(
     spectrum: SpectralDecomposition, column: np.ndarray, off_orbit: float
 ) -> np.ndarray:
     """Dense matrix: circulant ``column`` on the orbit, ``off_orbit`` * I elsewhere."""
-    if spectrum.dim > MAX_DENSE_DIM:
-        raise InvalidParameter(
-            f"dense matrix of dimension {spectrum.dim} exceeds the cap of {MAX_DENSE_DIM}"
-        )
     matrix = np.zeros((spectrum.dim, spectrum.dim), dtype=complex)
     np.fill_diagonal(matrix, off_orbit)
     index = np.array(spectrum.orbit)
@@ -144,6 +160,7 @@ def exp_from_spectrum(spectrum: SpectralDecomposition, s: float) -> np.ndarray:
     ``U(0)`` is the identity, ``U(1)`` is the decomposed permutation itself,
     and the family obeys the group law ``U(s1) @ U(s2) == U(s1 + s2)``.
     """
+    _require_dense(spectrum)
     return _circulant_on_orbit(spectrum, orbit_column(spectrum, s), 1.0)
 
 
@@ -153,6 +170,6 @@ def hermitian_generator(spectrum: SpectralDecomposition) -> np.ndarray:
     ``H`` weights each eigenvector by minus its eigenangle; it equals i times
     the principal logarithm of the decomposed permutation.
     """
-    length = len(spectrum.angles)
-    column = _dft_matrix(length) @ -spectrum.angles / length
+    _require_dense(spectrum)
+    column = _dft(-spectrum.angles) / len(spectrum.angles)
     return _circulant_on_orbit(spectrum, column, 0.0)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,8 @@ from hypothesis import strategies as st
 
 from qhckit.errors import InvalidOrbit, InvalidParameter
 from qhckit.linalg import (
+    MAX_MATRIX_DFT,
+    _dft_matrix,
     cycle_spectrum,
     exp_from_spectrum,
     hermitian_generator,
@@ -186,3 +189,33 @@ def test_integer_parameters_give_exact_one_hot_columns():
             expected = np.zeros(length, dtype=complex)
             expected[int(s) % length] = 1.0
             assert np.array_equal(orbit_column(spectrum, s), expected), (length, s)
+
+
+def test_long_orbits_build_no_quadratic_arrays():
+    # Only direct callers build orbits past the 65 states of a synthesized
+    # gate: their columns are one FFT, and the matrix cache never grows.
+    for length in (66, 100, 2**12, 2**12):
+        spectrum = cycle_spectrum(range(length), 2**16)
+        tracemalloc.start()
+        try:
+            column = orbit_column(spectrum, 0.37)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20, length
+        assert np.array_equal(column, orbit_column_fft(spectrum.angles, 0.37)), length
+        assert _dft_matrix.cache_info().currsize <= MAX_MATRIX_DFT
+    spectrum = cycle_spectrum(range(100), 128)
+    reference = -np.fft.fft(spectrum.angles) / 100
+    assert np.array_equal(hermitian_generator(spectrum)[:100, 0], reference)
+    # Dense matrices past the cap are refused before any column is computed.
+    huge = cycle_spectrum(range(2**16), 2**16)
+    tracemalloc.start()
+    try:
+        for build in (lambda: exp_from_spectrum(huge, 0.5), lambda: hermitian_generator(huge)):
+            with pytest.raises(InvalidParameter, match="exceeds the cap"):
+                build()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**16
