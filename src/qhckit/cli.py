@@ -24,7 +24,7 @@ from .gates import BUILTINS, GateKind, cross_validate
 from .report import resource_report
 from .serialize import emit_matrix, matrix_document, parse_truth_table
 from .sim import BASIS_TOLERANCE, evaluate_continuous
-from .synth import QhcGate, TruthTable, format_bits, synthesize, verify
+from .synth import VERIFY_TOLERANCE, QhcGate, TruthTable, format_bits, synthesize, verify
 
 _BUILTIN_GATES = tuple(kind.value for kind in GateKind)
 # Upper bound on --grid; cross_validate allocates the whole grid at once.
@@ -190,7 +190,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         help="include the unitary at this parameter sum in the output",
     )
-    synth.add_argument("--tolerance", type=_tolerance, default=1e-9)
+    synth.add_argument("--tolerance", type=_tolerance, default=VERIFY_TOLERANCE)
     synth.set_defaults(handler=_cmd_synth)
 
     simulate = sub.add_parser("simulate", help="apply a gate to the all-zeros state")
@@ -216,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify_cmd = sub.add_parser("verify", help="check a built-in gate both ways")
     verify_cmd.add_argument("--gate", required=True, choices=_BUILTIN_GATES)
     verify_cmd.add_argument("--grid", type=_grid, default=101, help="cross-check grid points")
-    verify_cmd.add_argument("--tolerance", type=_tolerance, default=1e-9)
+    verify_cmd.add_argument("--tolerance", type=_tolerance, default=VERIFY_TOLERANCE)
     verify_cmd.set_defaults(handler=_cmd_verify)
 
     report = sub.add_parser("report", help="compare qubit budgets against baselines")

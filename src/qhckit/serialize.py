@@ -58,12 +58,9 @@ def parse_truth_table(text: str) -> TruthTable:
     for field in ("inputs", "output_qubits", "rows"):
         if field not in doc:
             raise ParseError(f"missing field {field!r}")
-    inputs = doc["inputs"]
-    output_qubits = doc["output_qubits"]
-    if not isinstance(inputs, int) or isinstance(inputs, bool):
-        raise ParseError(f"'inputs' must be an integer, got {inputs!r}")
-    if not isinstance(output_qubits, int) or isinstance(output_qubits, bool):
-        raise ParseError(f"'output_qubits' must be an integer, got {output_qubits!r}")
+    for field in ("inputs", "output_qubits"):
+        if not isinstance(doc[field], int) or isinstance(doc[field], bool):
+            raise ParseError(f"{field!r} must be an integer, got {doc[field]!r}")
     if not isinstance(doc["rows"], list):
         raise ParseError("'rows' must be an array")
 
@@ -96,7 +93,7 @@ def parse_truth_table(text: str) -> TruthTable:
         )
     if end < len(items):
         raise ParseError(f"row {end}: expected an object with 'in' and 'out'")
-    return TruthTable(input_count=inputs, output_qubits=output_qubits, rows=columns)
+    return TruthTable(doc["inputs"], doc["output_qubits"], columns)
 
 
 def _is_row(item: Any) -> bool:

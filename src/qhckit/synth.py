@@ -13,7 +13,7 @@ the gate continuously between them.
 from __future__ import annotations
 
 import itertools
-from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence, Sized
+from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 from numbers import Integral
@@ -42,6 +42,8 @@ _BIT_VALUES = frozenset((0, 1))
 # 2^64 rows, and a state vector of 2^20 entries is already 16 MiB.
 MAX_INPUTS = 64
 MAX_OUTPUT_QUBITS = 20
+# Default entrywise tolerance of ``verify``, in the library and the command line.
+VERIFY_TOLERANCE = 1e-9
 
 
 def format_bits(bits: Iterable[int]) -> str:
@@ -72,24 +74,18 @@ def bit_column(values: Sequence[object]) -> tuple[np.ndarray, np.ndarray]:
         text = "".join(strings)
     # One byte per character: anything but 0 or 1 lands outside {0, 1}.
     bits = np.frombuffer(text.encode("ascii", "replace"), np.uint8) - ord("0")
-    widths = _marked_widths(bits, strings)
+    widths = np.fromiter(map(len, strings), np.intp, len(strings))
+    faults = np.flatnonzero(bits > 1)
+    if faults.size:
+        widths[np.searchsorted(np.cumsum(widths), faults, side="right")] = -1
     if strings is not values:
         widths[[not isinstance(value, str) for value in values]] = -1
     return bits, widths
 
 
-def _marked_widths(bits: np.ndarray, values: Sequence[Sized]) -> np.ndarray:
-    """Each value's length, or -1 where its stretch of ``bits`` holds anything but 0 or 1."""
-    widths = np.fromiter(map(len, values), np.intp, len(values))
-    faults = np.flatnonzero(bits > 1)
-    if faults.size:
-        widths[np.searchsorted(np.cumsum(widths), faults, side="right")] = -1
-    return widths
-
-
-def binary_values(bits: np.ndarray, dtype: type = np.uint64) -> np.ndarray:
+def binary_values(bits: np.ndarray) -> np.ndarray:
     """Each row of a 0/1 matrix read as a binary number, most significant bit first."""
-    values = np.zeros(len(bits), dtype)
+    values = np.zeros(len(bits), np.uint64)
     for column in bits.T:
         values <<= 1
         values |= column
@@ -114,18 +110,9 @@ class Columns(NamedTuple):
     @classmethod
     def of_mapping(cls, rows: Mapping[object, object]) -> Columns:
         keys, labels = list(rows), list(rows.values())
-        try:
-            if not all(map(isinstance, keys, itertools.repeat(tuple))):
-                raise TypeError("a key is not a tuple")
-            # bytes() takes a tuple of ints 0..255 and rejects anything else.
-            in_bits = np.frombuffer(b"".join(map(bytes, keys)), np.uint8)
-            in_widths = _marked_widths(in_bits, keys)
-        except (TypeError, ValueError):
-            # A key that is not a tuple of integer 0s and 1s, such as (1.0, 0),
-            # gets no text, hence width -1.
-            texts = [format_bits(map(int, key)) if _is_bit_tuple(key) else None for key in keys]
-            in_bits, in_widths = bit_column(texts)
-        return cls(in_bits, in_widths, *bit_column(labels), lambda p: (keys[p], labels[p]))
+        # A key that is not a tuple of integer 0s and 1s gets no text, hence width -1.
+        texts = [format_bits(map(int, key)) if _is_bit_tuple(key) else None for key in keys]
+        return cls(*bit_column(texts), *bit_column(labels), lambda p: (keys[p], labels[p]))
 
 
 def _is_bit_tuple(key: object) -> bool:
@@ -161,13 +148,6 @@ class TableRows(Mapping):
 
     def __iter__(self) -> Iterator[tuple[int, ...]]:
         return iter(self._rows)
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, TableRows):
-            return self._shape == other._shape and np.array_equal(
-                self._label_indices, other._label_indices
-            )
-        return super().__eq__(other)
 
     def __repr__(self) -> str:
         return repr(self._rows)
@@ -228,7 +208,7 @@ class TruthTable:
             gaps = np.sort(keys) != np.arange(count, dtype=np.uint64)
             missing = int(np.argmax(gaps)) if gaps.any() else count
             raise ValidationError(f"missing input row '{index_to_label(missing, k)}'")
-        outputs = binary_values(columns.out_bits.reshape(count, n), np.uint32)
+        outputs = binary_values(columns.out_bits.reshape(count, n))
         label_indices = np.empty(count, np.uint32)
         label_indices[keys] = outputs
         label_indices.flags.writeable = False
@@ -386,7 +366,9 @@ class VerificationReport:
     max_deviation: float
 
 
-def verify(gate: QhcGate, table: TruthTable, tolerance: float = 1e-9) -> VerificationReport:
+def verify(
+    gate: QhcGate, table: TruthTable, tolerance: float = VERIFY_TOLERANCE
+) -> VerificationReport:
     """Replay every table row through the gate's unitary at integer ``s``.
 
     For each row the all-zero state is evolved with ``s`` equal to the input

@@ -16,7 +16,6 @@ from qhckit import TruthTable, full_adder_truth_table, half_adder_truth_table, s
 from qhckit.cli import main
 from qhckit.errors import SynthesisError
 from qhckit.gates import (
-    FULL_ADDER_ORBIT,
     GateKind,
     cross_validate,
     full_adder_closed_form,
@@ -87,7 +86,7 @@ def test_criterion_3_four_cycle_algebra():
         problems.append("R^4 != I")
     if np.max(np.abs(r.conj().T @ r - E)) > 1e-12:
         problems.append("R not unitary")
-    h = hermitian_generator(cycle_spectrum(FULL_ADDER_ORBIT, 4))
+    h = hermitian_generator(cycle_spectrum((0, 1, 2, 3), 4))
     if np.max(np.abs(h - h.conj().T)) > 1e-12:
         problems.append("H not Hermitian")
     spectrum = cycle_spectrum((0, 1, 2, 3), 4)

@@ -1,14 +1,17 @@
 import contextlib
 import io
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qhckit
 from qhckit import TruthTable, full_adder_truth_table, half_adder_truth_table, synthesize
 from qhckit.cli import MAX_GRID_POINTS, main
 from qhckit.serialize import emit_truth_table, parse_matrix
@@ -336,3 +339,36 @@ def test_module_entry_point_runs():
     )
     assert result.returncode == 0
     assert json.loads(result.stdout)["passed"] is True
+
+
+IMPORT_PROBE = """
+import contextlib, io, json, sys
+from qhckit.cli import main
+
+table, h_file = sys.argv[1:]
+commands = [
+    ["simulate", "--gate", table, "--inputs", "0.5,0.25"],
+    ["synth", "--table", table, "--emit-h", h_file],
+    ["verify", "--gate", "full-adder"],
+    ["report", "--table", table],
+]
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [main(argv) for argv in commands]
+imported = [name for name in ("numpy.fft", "numpy.ma") if name in sys.modules]
+print(json.dumps({"codes": codes, "imported": imported}))
+"""
+
+
+def test_commands_import_neither_numpy_fft_nor_numpy_ma(half_table_file, tmp_path):
+    # Each costs a fresh process milliseconds of import time, and no command
+    # needs one: orbit columns use a cached DFT, and TruthTable avoids np.unique.
+    source = str(Path(qhckit.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", IMPORT_PROBE, half_table_file, str(tmp_path / "h.json")],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        check=True,
+    )
+    assert json.loads(result.stdout) == {"codes": [0, 0, 0, 0], "imported": []}

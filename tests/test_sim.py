@@ -84,7 +84,15 @@ def test_decode_rejects_bad_states():
 
 @pytest.mark.parametrize(
     "state",
-    [[math.nan, 0, 0, 0], [math.inf, 0, 0, 0], [0, -math.inf, 0, 0], [complex(1, math.nan), 0, 0, 0]],
+    [
+        [math.nan, 0, 0, 0],
+        [math.inf, 0, 0, 0],
+        [0, -math.inf, 0, 0],
+        [complex(1, math.nan), 0, 0, 0],
+        # Finite, but |a|^2 overflows to inf.
+        [1e200, 0, 0, 0],
+        [0, 1e155 + 1e155j, 0, 0],
+    ],
 )
 def test_decode_rejects_non_finite_states(state):
     with pytest.raises(InvalidParameter, match="not normalized"):

@@ -416,6 +416,25 @@ def test_unread_rows_are_never_built():
     assert pipeline_excess_peak(text) < 11 * 2**20
 
 
+def test_report_rows_stream():
+    # Reading every row once, as a caller checking each replayed row does,
+    # holds one row at a time: about 0.5 MiB at k = 16, where a cached tuple
+    # of the 2^16 checks peaks near 18 MiB.
+    labels = tuple(format(w % 32, "05b") for w in range(17))
+    table = weight_table(labels, 16)
+    report = verify(synthesize(table), table)
+    # Traced from here on, so the peak is counted above what is already held.
+    tracemalloc.start()
+    try:
+        for row in report.rows:
+            want = labels[sum(row.inputs)]
+            assert row.expected == want and row.obtained == want
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
+
+
 TABLES_TO_REPLAY = {
     "half adder": (half_adder_truth_table(), None),
     "full adder": (full_adder_truth_table(), None),
