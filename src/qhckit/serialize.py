@@ -11,6 +11,11 @@ Truth tables travel as line-oriented JSON so diffs stay readable:
       ]
     }
 
+A document in exactly the layout emit_truth_table writes (rows in any
+order) is read without a JSON decoder: its row lines all have one length,
+so the rows are one byte grid, checked against a template row.  Any other
+JSON layout goes through the decoder, which also names every fault.
+
 Matrices use {"dim": d, "entries": [[{"re": x, "im": y}, ...], ...]} in
 row-major order.  Real and imaginary parts are written as shortest
 round-trip decimals, so emit followed by parse reproduces the matrix
@@ -26,15 +31,36 @@ from __future__ import annotations
 
 import json
 import math
+import re
+from collections.abc import Iterator
 from operator import itemgetter
 from typing import Any
 
 import numpy as np
 
 from .errors import InvalidParameter, ParseError, ValidationError
-from .synth import Columns, TruthTable, bit_column, index_to_label
+from .synth import (
+    MAX_INPUTS,
+    MAX_OUTPUT_QUBITS,
+    Columns,
+    TruthTable,
+    binary_values,
+    bit_column,
+    format_bits,
+    index_to_label,
+)
 
 _IN, _OUT = itemgetter("in"), itemgetter("out")
+
+# The layout emit_truth_table writes, and the one parse_truth_table reads
+# without a JSON decoder: the header, then one row line per input in counting
+# order (any order is read), joined by the separator, then the footer.
+_HEADER = '{\n  "inputs": %d,\n  "output_qubits": %d,\n  "rows": [\n'
+_ROW = '    {"in": "%s", "out": "%s"}'
+_SEPARATOR = ",\n"
+_FOOTER = "\n  ]\n}\n"
+# Counts without a leading zero, short enough that int() cannot fail on them.
+_HEADER_PATTERN = re.compile(re.escape(_HEADER).replace("%d", "([1-9][0-9]{0,2})").encode())
 
 
 def _load_json(text: str) -> Any:
@@ -52,6 +78,63 @@ def _reject_constant(name: str) -> None:
 
 def parse_truth_table(text: str) -> TruthTable:
     """Parse and validate a truth-table document."""
+    parsed = _read_emitted_layout(text)
+    inputs, output_qubits, columns = parsed if parsed is not None else _read_json(text)
+    return TruthTable(inputs, output_qubits, columns)
+
+
+def _read_emitted_layout(text: str) -> tuple[int, int, Columns] | None:
+    """The counts and columns of a document in exactly the emitted layout, else None.
+
+    Each row line then has the same length, so the rows are one byte grid.
+    Columns come back only for a complete table with distinct inputs, where
+    the JSON path would build an equal table; any other document, valid or
+    not, is left to that path, the one source of every error.
+    """
+    if not (isinstance(text, str) and text.isascii()):
+        return None
+    data = text.encode("ascii")
+    header = _HEADER_PATTERN.match(data)
+    if header is None:
+        return None
+    k, n = map(int, header.groups())
+    if k > MAX_INPUTS or n > MAX_OUTPUT_QUBITS:
+        return None
+    template = (_ROW % ("0" * k, "0" * n) + _SEPARATOR).encode()
+    count, stride = 2**k, len(template)
+    rows_end = header.end() + count * stride - len(_SEPARATOR)
+    if len(data) != rows_end + len(_FOOTER) or not data.endswith(_FOOTER.encode()):
+        return None
+    grid = np.frombuffer(data, np.uint8, count * stride, header.end()).reshape(count, stride)
+    cells = grid ^ np.frombuffer(template, np.uint8)
+    # The last row's separator slot holds the start of the footer, matched above.
+    cells[-1, -len(_SEPARATOR) :] = 0
+    # A bit column holds 0 or 1 after the XOR, every other column 0.
+    lead, middle, _ = _ROW.split("%s")
+    ins = slice(len(lead), len(lead) + k)
+    outs = slice(ins.stop + len(middle), ins.stop + len(middle) + n)
+    limit = np.zeros(stride, np.uint8)
+    limit[ins] = limit[outs] = 1
+    if (cells > limit).any():
+        return None
+    in_bits, out_bits = cells[:, ins].copy(), cells[:, outs].copy()
+    # 2^k keys below 2^k fill the mask exactly when none repeats.
+    seen = np.zeros(count, bool)
+    seen[binary_values(in_bits)] = True
+    if not seen.all():
+        return None
+    columns = Columns(
+        in_bits.ravel(),
+        np.full(count, k),
+        out_bits.ravel(),
+        np.full(count, n),
+        lambda p: (tuple(in_bits[p].tolist()), format_bits(out_bits[p].tolist())),
+    )
+    return k, n, columns
+
+
+def _read_json(text: str) -> tuple[Any, Any, Columns]:
+    """The counts and columns of any document, by the JSON decoder; raises on a fault."""
     doc = _load_json(text)
     if not isinstance(doc, dict):
         raise ParseError(f"expected a JSON object, got {type(doc).__name__}")
@@ -93,7 +176,7 @@ def parse_truth_table(text: str) -> TruthTable:
         )
     if end < len(items):
         raise ParseError(f"row {end}: expected an object with 'in' and 'out'")
-    return TruthTable(doc["inputs"], doc["output_qubits"], columns)
+    return doc["inputs"], doc["output_qubits"], columns
 
 
 def _is_row(item: Any) -> bool:
@@ -115,22 +198,11 @@ def _first_repeat(sources: list[str]) -> int | None:
 def emit_truth_table(table: TruthTable) -> str:
     """Serialize a table with rows in counting order, one per line."""
     k, n = table.input_count, table.output_qubits
-    entries = (
-        f'    {{"in": "{index_to_label(position, k)}", "out": "{index_to_label(label, n)}"}}'
+    rows = (
+        _ROW % (index_to_label(position, k), index_to_label(label, n))
         for position, label in enumerate(table.label_indices.tolist())
     )
-    return "\n".join(
-        [
-            "{",
-            f'  "inputs": {k},',
-            f'  "output_qubits": {n},',
-            '  "rows": [',
-            ",\n".join(entries),
-            "  ]",
-            "}",
-            "",
-        ]
-    )
+    return _HEADER % (k, n) + _SEPARATOR.join(rows) + _FOOTER
 
 
 def _real_text(value: float) -> str:
@@ -140,37 +212,49 @@ def _real_text(value: float) -> str:
     return text[:-2] if text.endswith(".0") else text
 
 
-def _csv_cell(cell: dict[str, float]) -> str:
-    re, im = cell["re"], cell["im"]
+def _csv_cell(re: float, im: float) -> str:
     sign = "-" if im < 0.0 else "+"
     return f"{_real_text(re)}{sign}{_real_text(abs(im))}i"
 
 
-def matrix_document(matrix: np.ndarray) -> dict[str, Any]:
-    """The JSON matrix layout as an object; every emitted matrix goes through it."""
+def _checked_matrix(matrix: np.ndarray) -> np.ndarray:
     matrix = np.asarray(matrix, dtype=complex)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise InvalidParameter(f"matrix must be square, got shape {matrix.shape}")
     if not np.all(np.isfinite(matrix)):
         raise InvalidParameter("matrix entries must be finite")
-    return {
-        "dim": matrix.shape[0],
-        "entries": [
-            [{"re": float(e.real), "im": float(e.imag)} for e in row] for row in matrix
-        ],
-    }
+    return matrix
+
+
+def _cell_rows(matrix: np.ndarray) -> Iterator[list[dict[str, float]]]:
+    """Each row's cells as {"re": x, "im": y} objects, built one row at a time."""
+    for re_row, im_row in zip(matrix.real, matrix.imag):
+        yield [{"re": re, "im": im} for re, im in zip(re_row.tolist(), im_row.tolist())]
+
+
+def matrix_document(matrix: np.ndarray) -> dict[str, Any]:
+    """The JSON matrix layout as an object, with every cell built."""
+    matrix = _checked_matrix(matrix)
+    return {"dim": len(matrix), "entries": list(_cell_rows(matrix))}
 
 
 def emit_matrix(matrix: np.ndarray, fmt: str = "json") -> str:
-    """Serialize a complex matrix as 'json' or 'csv', one row per line."""
-    doc = matrix_document(matrix)
+    """Serialize a complex matrix as 'json' or 'csv', one row per line.
+
+    Rows are formatted one at a time, so no cell outlives its row's line.
+    """
+    matrix = _checked_matrix(matrix)
     if fmt == "csv":
-        return "\n".join(",".join(_csv_cell(c) for c in row) for row in doc["entries"]) + "\n"
+        return "".join(
+            ",".join(map(_csv_cell, re_row.tolist(), im_row.tolist())) + "\n"
+            for re_row, im_row in zip(matrix.real, matrix.imag)
+        )
     if fmt != "json":
         raise InvalidParameter(f"unknown matrix format {fmt!r}")
-    lines = ["{", f'  "dim": {doc["dim"]},', '  "entries": [']
-    for r, cells in enumerate(doc["entries"]):
-        comma = "," if r + 1 < doc["dim"] else ""
+    dim = len(matrix)
+    lines = ["{", f'  "dim": {dim},', '  "entries": [']
+    for r, cells in enumerate(_cell_rows(matrix)):
+        comma = "," if r + 1 < dim else ""
         lines.append(f"    {json.dumps(cells)}{comma}")
     lines += ["  ]", "}", ""]
     return "\n".join(lines)

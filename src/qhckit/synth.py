@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from numbers import Integral
 from typing import NamedTuple
 
@@ -111,16 +111,24 @@ class Columns(NamedTuple):
     def of_mapping(cls, rows: Mapping[object, object]) -> Columns:
         keys, labels = list(rows), list(rows.values())
         # A key that is not a tuple of integer 0s and 1s gets no text, hence width -1.
-        texts = [format_bits(map(int, key)) if _is_bit_tuple(key) else None for key in keys]
+        texts = [
+            "".join(map("01".__getitem__, key)) if _is_bit_tuple(key) else None for key in keys
+        ]
         return cls(*bit_column(texts), *bit_column(labels), lambda p: (keys[p], labels[p]))
 
 
 def _is_bit_tuple(key: object) -> bool:
     return (
         isinstance(key, tuple)
-        and all(isinstance(bit, Integral) for bit in key)
+        and all(map(_is_integral, map(type, key)))
         and _BIT_VALUES.issuperset(key)
     )
+
+
+@cache
+def _is_integral(kind: type) -> bool:
+    # An ABC check costs about 1 us; a table's bits come in a type or two.
+    return issubclass(kind, Integral)
 
 
 class TableRows(Mapping):

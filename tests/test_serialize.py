@@ -1,12 +1,13 @@
 import itertools
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qhckit import QhcError, TruthTable, half_adder_truth_table, parse_truth_table
+from qhckit import QhcError, TruthTable, half_adder_truth_table, parse_truth_table, serialize
 from qhckit.errors import InvalidParameter, ParseError, ValidationError
 from qhckit.gates import half_adder_closed_form
 from qhckit.serialize import emit_matrix, emit_truth_table, parse_matrix
@@ -294,3 +295,148 @@ def test_first_fault_in_document_order_wins(rows, match):
         parse_truth_table(doc)
     with pytest.raises(QhcError, match=match):
         parse_truth_table_oracle(doc)
+
+
+def table_with_labels(k, n, labels):
+    rows = itertools.product((0, 1), repeat=k)
+    return TruthTable(k, n, {bits: format(label, f"0{n}b") for bits, label in zip(rows, labels)})
+
+
+def split_rows(text):
+    """An emitted document as its header, its row lines and its footer."""
+    head, bracket, rest = text.partition("[\n")
+    body, bracket_end, tail = rest.rpartition("\n  ]")
+    return head + bracket, body.split(",\n"), bracket_end + tail
+
+
+def join_rows(head, rows, tail):
+    return head + ",\n".join(rows) + tail
+
+
+@pytest.mark.parametrize("shuffle", [False, True])
+def test_emitted_layout_is_read_without_the_json_decoder(monkeypatch, shuffle):
+    def no_decoder(text):
+        raise AssertionError("the JSON decoder ran")
+
+    monkeypatch.setattr(serialize, "_load_json", no_decoder)
+    rng = np.random.default_rng(7)
+    for k, n in itertools.product(range(1, 13), range(1, 4)):
+        table = table_with_labels(k, n, rng.integers(0, 2**n, 2**k).tolist())
+        head, rows, tail = split_rows(emit_truth_table(table))
+        if shuffle:
+            rows = rng.permutation(rows).tolist()
+        parsed = parse_truth_table(join_rows(head, rows, tail))
+        assert parsed == table and parsed.labels_by_weight == table.labels_by_weight
+
+
+def anywhere(draw, text, chars=None):
+    """A position in the text, uniform over it or over the given characters."""
+    positions = [at for at, char in enumerate(text) if chars is None or char in chars]
+    return draw(st.randoms(use_true_random=False)).choice(positions or [0])
+
+
+def flip_a_bit(draw, text):
+    at = anywhere(draw, text)
+    return text[:at] + chr(ord(text[at]) ^ 1 << draw(st.integers(0, 6))) + text[at + 1 :]
+
+
+def change_whitespace(draw, text):
+    at = anywhere(draw, text, " \n")
+    return text[:at] + draw(st.sampled_from(["", "  ", "\t", "\n", " \n"])) + text[at + 1 :]
+
+
+def escape_a_zero(draw, text):
+    at = anywhere(draw, text, "0")
+    return text[:at] + "\\u0030" + text[at + 1 :] if text[at] == "0" else text
+
+
+def lead_a_count_with_zero(draw, text):
+    field = draw(st.sampled_from(['"inputs": ', '"output_qubits": ']))
+    return text.replace(field, field + "0", 1)
+
+
+def insert_non_ascii(draw, text):
+    at = anywhere(draw, text)
+    return text[:at] + draw(st.sampled_from(["\u00e9", "\u0660", "\u00a0", "\ufeff"])) + text[at:]
+
+
+TEXT_EDITS = [
+    flip_a_bit,
+    change_whitespace,
+    escape_a_zero,
+    lead_a_count_with_zero,
+    insert_non_ascii,
+    lambda draw, text: text.replace("\n", "\r\n"),
+]
+
+
+@st.composite
+def edited_emitted_documents(draw):
+    """An emitted table, rows maybe shuffled, with up to two row edits and two text edits."""
+    k, n = draw(st.integers(1, 4)), draw(st.integers(1, 2))
+    labels = draw(st.lists(st.integers(0, 2**n - 1), min_size=2**k, max_size=2**k))
+    head, rows, tail = split_rows(emit_truth_table(table_with_labels(k, n, labels)))
+    rows = draw(st.permutations(rows))
+    for _ in range(draw(st.integers(0, 2))):
+        edit = draw(st.sampled_from(["drop", "repeat", "extra field"]))
+        at = draw(st.integers(0, len(rows) - 1))
+        if edit == "drop" and len(rows) > 1:
+            del rows[at]
+        elif edit == "repeat":
+            rows.insert(draw(st.integers(0, len(rows))), rows[at])
+        elif edit == "extra field":
+            rows[at] = rows[at][:-1] + ', "note": 1}'
+    text = join_rows(head, rows, tail)
+    for _ in range(draw(st.integers(0, 2))):
+        text = draw(st.sampled_from(TEXT_EDITS))(draw, text)
+    return text
+
+
+def oracle_outcome(text):
+    try:
+        json.loads(text)
+    except json.JSONDecodeError as exc:
+        return ParseError, f"invalid JSON: {exc}"
+    return outcome(parse_truth_table_oracle, text)
+
+
+def assert_matches_the_oracle(text):
+    want, got = oracle_outcome(text), outcome(parse_truth_table, text)
+    if isinstance(got, TruthTable):
+        k, n, rows, labels_by_weight = want
+        assert (got.input_count, got.output_qubits, dict(got.rows)) == (k, n, rows)
+        assert got.labels_by_weight == labels_by_weight
+    else:
+        assert got == want
+
+
+@settings(max_examples=400, deadline=None)
+@given(edited_emitted_documents())
+def test_edited_emitted_documents_match_the_row_by_row_oracle(text):
+    assert_matches_the_oracle(text)
+
+
+def test_every_changed_byte_of_an_emitted_document_matches_the_oracle():
+    # Each edit keeps the length, so only the byte checks stand between the
+    # edited document and the grid reader.
+    head, rows, tail = split_rows(emit_truth_table(table_with_labels(2, 2, [0, 1, 1, 3])))
+    text = join_rows(head, rows[::-1], tail)
+    for at, char in enumerate(text):
+        for new in [chr(ord(char) ^ 1 << bit) for bit in range(7)] + ["\u0660"]:
+            assert_matches_the_oracle(text[:at] + new + text[at + 1 :])
+
+
+def test_matrix_emission_holds_one_row_of_cells_at_a_time():
+    # 65,536 cells: one object per cell, all held at once, would peak at
+    # several times the text.
+    rng = np.random.default_rng(3)
+    matrix = rng.standard_normal((256, 256)) + 1j * rng.standard_normal((256, 256))
+    for fmt in ("json", "csv"):
+        tracemalloc.start()
+        try:
+            size = len(emit_matrix(matrix, fmt))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # The text itself, the row lines it is joined from, and one row.
+        assert peak < 3 * size, (fmt, peak, size)

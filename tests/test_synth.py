@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import json
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -79,6 +80,15 @@ def test_truth_table_rejects_bad_labels():
     with pytest.raises(ValidationError, match=r"row 1: input \(1\.0, 0\) is not 2 bits"):
         TruthTable(2, 1, {(0, 0): "0", (1.0, 0): "1", (0, 1): "1", (1, 1): "0"})
     assert TruthTable(1, 1, {(False,): "0", (True,): "1"}).rows == {(0,): "0", (1,): "1"}
+
+
+def test_dict_keys_take_bits_of_any_integer_type():
+    rows = {(np.int8(0), False): "0", (np.uint64(0), 1): "1", (True, np.int64(0)): "1"}
+    table = TruthTable(2, 1, {**rows, (np.int32(1), np.uint8(1)): "0"})
+    assert dict(table.rows) == {(0, 0): "0", (0, 1): "1", (1, 0): "1", (1, 1): "0"}
+    for bit in (np.float64(1.0), np.str_("1"), Fraction(1)):
+        with pytest.raises(ValidationError, match=r"row 3: input .* is not 2 bits"):
+            TruthTable(2, 1, {**rows, (bit, 1): "0"})
 
 
 @pytest.mark.parametrize(
