@@ -13,8 +13,9 @@ Truth tables travel as line-oriented JSON so diffs stay readable:
 
 A document in exactly the layout emit_truth_table writes (rows in any
 order) is read without a JSON decoder: its row lines all have one length,
-so the rows are one byte grid, checked against a template row.  Any other
-JSON layout goes through the decoder, which also names every fault.
+so the rows are one byte grid, checked against a template row a block of
+rows at a time, and the input keys go to TruthTable with the columns.  Any
+other JSON layout goes through the decoder, which also names every fault.
 
 Matrices use {"dim": d, "entries": [[{"re": x, "im": y}, ...], ...]} in
 row-major order.  Real and imaginary parts are written as shortest
@@ -61,6 +62,9 @@ _SEPARATOR = ",\n"
 _FOOTER = "\n  ]\n}\n"
 # Counts without a leading zero, short enough that int() cannot fail on them.
 _HEADER_PATTERN = re.compile(re.escape(_HEADER).replace("%d", "([1-9][0-9]{0,2})").encode())
+# The grid reader checks rows about this many bytes at a time, so that each
+# block and its temporaries stay in cache and none grows with the document.
+_BLOCK_BYTES = 32 * 1024
 
 
 def _load_json(text: str) -> Any:
@@ -68,7 +72,8 @@ def _load_json(text: str) -> Any:
         # Reject the non-standard NaN/Infinity literals up front; they
         # would silently break the bit-exact round-trip contract.
         return json.loads(text, parse_constant=_reject_constant)
-    except (json.JSONDecodeError, RecursionError) as exc:
+    # ValueError: a JSONDecodeError, or an integer past int_max_str_digits.
+    except (ValueError, RecursionError) as exc:
         raise ParseError(f"invalid JSON: {exc}") from exc
 
 
@@ -86,10 +91,11 @@ def parse_truth_table(text: str) -> TruthTable:
 def _read_emitted_layout(text: str) -> tuple[int, int, Columns] | None:
     """The counts and columns of a document in exactly the emitted layout, else None.
 
-    Each row line then has the same length, so the rows are one byte grid.
-    Columns come back only for a complete table with distinct inputs, where
-    the JSON path would build an equal table; any other document, valid or
-    not, is left to that path, the one source of every error.
+    Each row line then has the same length, so the rows are one byte grid,
+    checked a block of rows at a time against the template row.  Columns
+    come back only for a complete table with distinct inputs, where the JSON
+    path would build an equal table; any other document, valid or not, is
+    left to that path, the one source of every error.
     """
     if not (isinstance(text, str) and text.isascii()):
         return None
@@ -100,35 +106,45 @@ def _read_emitted_layout(text: str) -> tuple[int, int, Columns] | None:
     k, n = map(int, header.groups())
     if k > MAX_INPUTS or n > MAX_OUTPUT_QUBITS:
         return None
-    template = (_ROW % ("0" * k, "0" * n) + _SEPARATOR).encode()
+    template = np.frombuffer((_ROW % ("0" * k, "0" * n) + _SEPARATOR).encode(), np.uint8)
     count, stride = 2**k, len(template)
     rows_end = header.end() + count * stride - len(_SEPARATOR)
     if len(data) != rows_end + len(_FOOTER) or not data.endswith(_FOOTER.encode()):
         return None
-    grid = np.frombuffer(data, np.uint8, count * stride, header.end()).reshape(count, stride)
-    cells = grid ^ np.frombuffer(template, np.uint8)
-    # The last row's separator slot holds the start of the footer, matched above.
-    cells[-1, -len(_SEPARATOR) :] = 0
-    # A bit column holds 0 or 1 after the XOR, every other column 0.
     lead, middle, _ = _ROW.split("%s")
     ins = slice(len(lead), len(lead) + k)
     outs = slice(ins.stop + len(middle), ins.stop + len(middle) + n)
-    limit = np.zeros(stride, np.uint8)
-    limit[ins] = limit[outs] = 1
-    if (cells > limit).any():
-        return None
-    in_bits, out_bits = cells[:, ins].copy(), cells[:, outs].copy()
+    # A bit byte may differ from the template's '0' in its lowest bit only,
+    # every other byte not at all.
+    fixed = np.full(stride, 0xFF, np.uint8)
+    fixed[ins] = fixed[outs] = 0xFE
+    block_rows = _BLOCK_BYTES // stride
+    expected, mask = np.tile(template, block_rows), np.tile(fixed, block_rows)
+    diff = np.empty_like(expected)
+    cells = np.frombuffer(data, np.uint8, count * stride, header.end())
+    # The last row's separator slot holds the start of the footer, matched above.
+    body = cells[: -len(_SEPARATOR)]
+    for at in range(0, len(body), len(diff)):
+        block = body[at : at + len(diff)]
+        out = diff[: len(block)]
+        np.bitwise_xor(block, expected[: len(block)], out=out)
+        if np.bitwise_and(out, mask[: len(block)], out=out).any():
+            return None
+    grid = cells.reshape(count, stride)
+    in_bits, out_bits = grid[:, ins] & 1, grid[:, outs] & 1
+    keys = binary_values(in_bits)
     # 2^k keys below 2^k fill the mask exactly when none repeats.
     seen = np.zeros(count, bool)
-    seen[binary_values(in_bits)] = True
+    seen[keys] = True
     if not seen.all():
         return None
     columns = Columns(
-        in_bits.ravel(),
+        in_bits,
         np.full(count, k),
-        out_bits.ravel(),
+        out_bits,
         np.full(count, n),
         lambda p: (tuple(in_bits[p].tolist()), format_bits(out_bits[p].tolist())),
+        keys,
     )
     return k, n, columns
 

@@ -96,9 +96,10 @@ class Columns(NamedTuple):
     """A table's rows in the order given, as columns.
 
     ``in_bits`` and ``out_bits`` hold every row's input and output bits,
-    joined (see ``bit_column``); ``in_widths`` and ``out_widths`` hold each
-    row's widths.  ``given(p)`` returns row p's key and label as written,
-    for error messages.
+    joined (see ``bit_column``) or one table row per array row;
+    ``in_widths`` and ``out_widths`` hold each row's widths.  ``given(p)``
+    returns row p's key and label as written, for error messages.  ``keys``
+    are the inputs read as binary numbers, when a reader already has them.
     """
 
     in_bits: np.ndarray
@@ -106,6 +107,7 @@ class Columns(NamedTuple):
     out_bits: np.ndarray
     out_widths: np.ndarray
     given: Callable[[int], tuple[object, object]]
+    keys: np.ndarray | None = None
 
     @classmethod
     def of_mapping(cls, rows: Mapping[object, object]) -> Columns:
@@ -206,8 +208,9 @@ class TruthTable:
                 raise ValidationError(f"row {position}: input {key!r} is not {k} bits")
             raise ValidationError(f"row {position}: bad output label {label!r}; expected {n} bits")
         count = len(bad)
-        bits = columns.in_bits.reshape(count, k)
-        keys = binary_values(bits)
+        keys = columns.keys
+        if keys is None:
+            keys = binary_values(columns.in_bits.reshape(count, k))
         # The keys are distinct (the parser rejects duplicates, and a mapping
         # cannot hold any), so fewer than 2^k of them means a row is missing:
         # the first one in counting order is the first gap in the sorted keys.
@@ -222,7 +225,8 @@ class TruthTable:
         label_indices.flags.writeable = False
         # Each distinct (weight, label) pair, packed into one 27-bit integer.
         # (np.unique would import numpy.ma, 40 ms on a cold start.)
-        pairs = np.sort(bits.sum(axis=1, dtype=np.uint32) << n | outputs)
+        # A row's weight is its key's popcount.
+        pairs = np.sort(np.bitwise_count(keys).astype(np.uint32) << n | outputs)
         by_weight: list[set[str]] = [set() for _ in range(k + 1)]
         for pair in pairs[np.append(True, pairs[1:] != pairs[:-1])].tolist():
             by_weight[pair >> n].add(index_to_label(pair & (2**n - 1), n))

@@ -303,6 +303,8 @@ UNREADABLE_TABLES = {
     "missing": None,
     "not-utf8": b"\xff\xfe{}",
     "deep-json": b"[" * 100000 + b"]" * 100000,
+    # Longer than Python's int_max_str_digits, so int() refuses it.
+    "huge-count": b'{"inputs": ' + b"9" * 5001 + b', "output_qubits": 2, "rows": []}',
 }
 
 

@@ -79,6 +79,24 @@ def test_malformed_documents_are_parse_errors(mangle):
         parse_truth_table(mangle(HALF_ADDER_DOC))
 
 
+# Python refuses to convert an integer literal longer than int_max_str_digits
+# (4,300 by default).
+HUGE_COUNT = "9" * 5001
+
+
+@pytest.mark.parametrize(
+    "parse, doc",
+    [
+        (parse_truth_table, f'{{"inputs": {HUGE_COUNT}, "output_qubits": 2, "rows": []}}'),
+        (parse_matrix, f'{{"dim": {HUGE_COUNT}, "entries": []}}'),
+    ],
+    ids=["truth-table", "matrix"],
+)
+def test_an_integer_too_long_to_convert_is_a_parse_error(parse, doc):
+    with pytest.raises(ParseError, match="invalid JSON"):
+        parse(doc)
+
+
 def test_nan_literal_rejected():
     with pytest.raises(ParseError):
         parse_matrix('{"dim": 1, "entries": [[{"re": NaN, "im": 0}]]}')
@@ -424,6 +442,45 @@ def test_every_changed_byte_of_an_emitted_document_matches_the_oracle():
     for at, char in enumerate(text):
         for new in [chr(ord(char) ^ 1 << bit) for bit in range(7)] + ["\u0660"]:
             assert_matches_the_oracle(text[:at] + new + text[at + 1 :])
+
+
+@pytest.mark.parametrize("shuffle", [False, True])
+def test_changed_bytes_at_block_boundaries_match_the_oracle(shuffle):
+    # The grid reader checks whole rows a block at a time; the edits sit on
+    # each block's first and last byte, inside the partial last block, and
+    # in the last row's separator slot, where the footer starts.
+    head, rows, tail = split_rows(emit_truth_table(table_with_labels(11, 2, np.arange(2**11) % 4)))
+    if shuffle:
+        rows = np.random.default_rng(11).permutation(rows).tolist()
+    text = join_rows(head, rows, tail)
+    stride = len(rows[0]) + len(",\n")
+    block = serialize._BLOCK_BYTES // stride * stride
+    body = len(rows) * stride - len(",\n")
+    starts = range(len(head), len(head) + body, block)
+    assert len(starts) >= 3 and body % block, "need three blocks and a partial last one"
+    last = starts[-1] + (body - starts[-1]) // stride // 2 * stride
+    row = rows[(last - len(head)) // stride]
+    at = [a for start in starts for a in (start, min(start + block, len(head) + body) - 1)]
+    first_in, last_out = row.index('"in": "') + len('"in": "'), len(row) - len('"}') - 1
+    at += [last + row.index('"in"'), last + first_in, last + last_out]
+    at += [len(head) + body, len(head) + body + 1]
+    for position in at:
+        for bit in range(7):
+            changed = chr(ord(text[position]) ^ 1 << bit)
+            assert_matches_the_oracle(text[:position] + changed + text[position + 1 :])
+
+
+def test_emitted_table_is_read_in_less_than_two_and_a_half_times_its_length():
+    # The encoded text is one copy of the document; no temporary of the
+    # byte checks may grow with it.
+    text = emit_truth_table(table_with_labels(14, 3, np.arange(2**14) % 8))
+    tracemalloc.start()
+    try:
+        parse_truth_table(text)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * len(text), (peak, len(text))
 
 
 def test_matrix_emission_holds_one_row_of_cells_at_a_time():
