@@ -14,8 +14,9 @@ Truth tables travel as line-oriented JSON so diffs stay readable:
 A document in exactly the layout emit_truth_table writes (rows in any
 order) is read without a JSON decoder: its row lines all have one length,
 so the rows are one byte grid, checked against a template row a block of
-rows at a time, and the input keys go to TruthTable with the columns.  Any
-other JSON layout goes through the decoder, which also names every fault.
+rows at a time.  Each row's input key and output label are then read eight
+bit bytes per word and go to TruthTable with the columns.  Any other JSON
+layout goes through the decoder, which also names every fault.
 
 Matrices use {"dim": d, "entries": [[{"re": x, "im": y}, ...], ...]} in
 row-major order.  Real and imaginary parts are written as shortest
@@ -45,9 +46,7 @@ from .synth import (
     MAX_OUTPUT_QUBITS,
     Columns,
     TruthTable,
-    binary_values,
     bit_column,
-    format_bits,
     index_to_label,
 )
 
@@ -104,11 +103,12 @@ def _read_emitted_layout(text: str) -> tuple[int, int, Columns] | None:
     if header is None:
         return None
     k, n = map(int, header.groups())
+    first = header.end()
     if k > MAX_INPUTS or n > MAX_OUTPUT_QUBITS:
         return None
     template = np.frombuffer((_ROW % ("0" * k, "0" * n) + _SEPARATOR).encode(), np.uint8)
     count, stride = 2**k, len(template)
-    rows_end = header.end() + count * stride - len(_SEPARATOR)
+    rows_end = first + count * stride - len(_SEPARATOR)
     if len(data) != rows_end + len(_FOOTER) or not data.endswith(_FOOTER.encode()):
         return None
     lead, middle, _ = _ROW.split("%s")
@@ -121,7 +121,7 @@ def _read_emitted_layout(text: str) -> tuple[int, int, Columns] | None:
     block_rows = _BLOCK_BYTES // stride
     expected, mask = np.tile(template, block_rows), np.tile(fixed, block_rows)
     diff = np.empty_like(expected)
-    cells = np.frombuffer(data, np.uint8, count * stride, header.end())
+    cells = np.frombuffer(data, np.uint8, count * stride, first)
     # The last row's separator slot holds the start of the footer, matched above.
     body = cells[: -len(_SEPARATOR)]
     for at in range(0, len(body), len(diff)):
@@ -130,23 +130,49 @@ def _read_emitted_layout(text: str) -> tuple[int, int, Columns] | None:
         np.bitwise_xor(block, expected[: len(block)], out=out)
         if np.bitwise_and(out, mask[: len(block)], out=out).any():
             return None
-    grid = cells.reshape(count, stride)
-    in_bits, out_bits = grid[:, ins] & 1, grid[:, outs] & 1
-    keys = binary_values(in_bits)
+    scratch = np.empty(count, np.uint64)
+    keys = _read_field(data, first + ins.start, stride, k, scratch)
     # 2^k keys below 2^k fill the mask exactly when none repeats.
     seen = np.zeros(count, bool)
     seen[keys] = True
     if not seen.all():
         return None
-    columns = Columns(
-        in_bits,
-        np.full(count, k),
-        out_bits,
-        np.full(count, n),
-        lambda p: (tuple(in_bits[p].tolist()), format_bits(out_bits[p].tolist())),
-        keys,
-    )
-    return k, n, columns
+    labels = _read_field(data, first + outs.start, stride, n, scratch)
+    return k, n, Columns(keys=keys, labels=labels)
+
+
+# Eight '0'/'1' bytes read as one little-endian word: their low bits, masked
+# out and multiplied by _GATHER, land in the top byte with the first byte's
+# bit highest, and no partial products carry into one another.
+_BIT_BYTES = np.uint64(0x0101010101010101)
+_GATHER = np.uint64(0x8040201008040201)
+
+
+def _read_field(
+    data: bytes, start: int, stride: int, width: int, scratch: np.ndarray
+) -> np.ndarray:
+    """Each row's bit field read as a binary number, most significant bit first.
+
+    The field starts at byte ``start`` of the first row, and each row's at
+    ``stride`` bytes past the one before; it is read eight bytes per word,
+    with ``scratch`` (one word per row) holding all but the first.
+    A word may reach up to 7 bytes past the field, never past the document:
+    at least 11 bytes follow an input field in its row, and at least 9
+    follow an output field, counting the footer after the last row.  The
+    bits of those bytes land below the field's and are shifted out.
+    """
+    values = np.empty_like(scratch)
+    for at in range(0, width, 8):
+        size = min(8, width - at)
+        word = np.ndarray(len(values), "<u8", data, start + at, (stride,))
+        chunk = values if at == 0 else scratch
+        np.bitwise_and(word, _BIT_BYTES, out=chunk)
+        np.multiply(chunk, _GATHER, out=chunk)
+        np.right_shift(chunk, np.uint64(64 - size), out=chunk)
+        if at:
+            np.left_shift(values, np.uint64(size), out=values)
+            np.bitwise_or(values, chunk, out=values)
+    return values
 
 
 def _read_json(text: str) -> tuple[Any, Any, Columns]:

@@ -98,16 +98,18 @@ class Columns(NamedTuple):
     ``in_bits`` and ``out_bits`` hold every row's input and output bits,
     joined (see ``bit_column``) or one table row per array row;
     ``in_widths`` and ``out_widths`` hold each row's widths.  ``given(p)``
-    returns row p's key and label as written, for error messages.  ``keys``
-    are the inputs read as binary numbers, when a reader already has them.
+    returns row p's key and label as written, for error messages.  A reader
+    that has checked every row's widths and read its input and output as
+    binary numbers hands over only those, as ``keys`` and ``labels``.
     """
 
-    in_bits: np.ndarray
-    in_widths: np.ndarray
-    out_bits: np.ndarray
-    out_widths: np.ndarray
-    given: Callable[[int], tuple[object, object]]
+    in_bits: np.ndarray | None = None
+    in_widths: np.ndarray | None = None
+    out_bits: np.ndarray | None = None
+    out_widths: np.ndarray | None = None
+    given: Callable[[int], tuple[object, object]] | None = None
     keys: np.ndarray | None = None
+    labels: np.ndarray | None = None
 
     @classmethod
     def of_mapping(cls, rows: Mapping[object, object]) -> Columns:
@@ -197,20 +199,23 @@ class TruthTable:
         k, n = self.input_count, self.output_qubits
         # The parser hands over columns; a mapping is turned into the same ones.
         columns = self.rows if isinstance(self.rows, Columns) else Columns.of_mapping(self.rows)
-        bad_input = columns.in_widths != k
-        bad = bad_input | (columns.out_widths != n)
-        if bad.any():
-            # Rows are named by position, which for a parsed table is the
-            # position in the document.
-            position = int(np.argmax(bad))
-            key, label = columns.given(position)
-            if bad_input[position]:
-                raise ValidationError(f"row {position}: input {key!r} is not {k} bits")
-            raise ValidationError(f"row {position}: bad output label {label!r}; expected {n} bits")
-        count = len(bad)
-        keys = columns.keys
+        keys, outputs = columns.keys, columns.labels
         if keys is None:
-            keys = binary_values(columns.in_bits.reshape(count, k))
+            bad_input = columns.in_widths != k
+            bad = bad_input | (columns.out_widths != n)
+            if bad.any():
+                # Rows are named by position, which for a parsed table is the
+                # position in the document.
+                position = int(np.argmax(bad))
+                key, label = columns.given(position)
+                if bad_input[position]:
+                    raise ValidationError(f"row {position}: input {key!r} is not {k} bits")
+                raise ValidationError(
+                    f"row {position}: bad output label {label!r}; expected {n} bits"
+                )
+            keys = binary_values(columns.in_bits.reshape(len(bad), k))
+            outputs = binary_values(columns.out_bits.reshape(len(bad), n))
+        count = len(keys)
         # The keys are distinct (the parser rejects duplicates, and a mapping
         # cannot hold any), so fewer than 2^k of them means a row is missing:
         # the first one in counting order is the first gap in the sorted keys.
@@ -219,7 +224,6 @@ class TruthTable:
             gaps = np.sort(keys) != np.arange(count, dtype=np.uint64)
             missing = int(np.argmax(gaps)) if gaps.any() else count
             raise ValidationError(f"missing input row '{index_to_label(missing, k)}'")
-        outputs = binary_values(columns.out_bits.reshape(count, n))
         label_indices = np.empty(count, np.uint32)
         label_indices[keys] = outputs
         label_indices.flags.writeable = False
@@ -385,8 +389,9 @@ def verify(
 
     For each row the all-zero state is evolved with ``s`` equal to the input
     weight; the result must match the expected basis state entrywise within
-    ``tolerance``.  A row's outcome depends only on its weight and label, so
-    each weight is evolved once and each of its labels scored once; the
+    ``tolerance``.  A row's outcome depends only on its weight and label,
+    and the state at s = w is the one at orbit position w mod L, so each
+    position is evolved once and each weight's labels scored once; the
     report's ``rows`` builds a row's check from those scores when it is read.
     The state lies on the orbit: its L entries plus one zero stand for all d
     of them.
@@ -398,18 +403,18 @@ def verify(
     orbit_labels = [index_to_label(index, table.output_qubits) for index in gate.cycle.orbit]
     slot = {label: position for position, label in enumerate(orbit_labels)}
     length = gate.length
-    # Row w holds the state at s = w: its orbit column, then one zero that
-    # stands for every off-orbit state.
-    amplitudes = np.zeros((len(table.labels_by_weight), length + 1), complex)
-    amplitudes[:, :length] = [orbit_column(gate.cycle, w) for w in range(len(amplitudes))]
-    obtained = np.abs(amplitudes).argmax(axis=1).tolist()
+    # Row p holds the state at orbit position p: its orbit column, then one
+    # zero that stands for every off-orbit state.
+    states = np.zeros((min(length, len(table.labels_by_weight)), length + 1), complex)
+    states[:, :length] = [orbit_column(gate.cycle, p) for p in range(len(states))]
+    obtained = np.abs(states).argmax(axis=1).tolist()
     pairs = [(w, label) for w, labels in enumerate(table.labels_by_weight) for label in labels]
     weights, targets = np.array([(w, slot.get(label, length)) for w, label in pairs]).T
     # A pair's deviation: |a - 1| at the expected slot, |a| at every other.
     expected = np.arange(length + 1) == targets[:, None]
-    deviations = np.abs(amplitudes[weights] - expected).max(axis=1).tolist()
+    deviations = np.abs(states[weights % length] - expected).max(axis=1).tolist()
     outcomes = {
-        (w, label_to_index(label)): (label, orbit_labels[obtained[w]], deviation)
+        (w, label_to_index(label)): (label, orbit_labels[obtained[w % length]], deviation)
         for (w, label), deviation in zip(pairs, deviations)
     }
     worst = max(deviation for _, _, deviation in outcomes.values())

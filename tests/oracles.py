@@ -143,6 +143,24 @@ def parse_truth_table_oracle(text: str):
     return (inputs, output_qubits, rows, validate_rows_oracle(inputs, output_qubits, rows))
 
 
+def emit_truth_table_oracle(input_count: int, output_qubits: int, labels) -> str:
+    """The emitted layout of a table, one row line formatted at a time.
+
+    ``labels[i]`` is the basis index of the label of input row i, in
+    counting order.
+    """
+    rows = [
+        '    {"in": "%s", "out": "%s"}'
+        % (format(position, f"0{input_count}b"), format(label, f"0{output_qubits}b"))
+        for position, label in enumerate(labels)
+    ]
+    head = '{\n  "inputs": %d,\n  "output_qubits": %d,\n  "rows": [\n' % (
+        input_count,
+        output_qubits,
+    )
+    return head + ",\n".join(rows) + "\n  ]\n}\n"
+
+
 def validate_rows_oracle(input_count: int, output_qubits: int, rows: dict):
     """``labels_by_weight`` of a table given as a dict, checked one row at a time.
 

@@ -12,7 +12,7 @@ from qhckit.errors import InvalidParameter, ParseError, ValidationError
 from qhckit.gates import half_adder_closed_form
 from qhckit.serialize import emit_matrix, emit_truth_table, parse_matrix
 
-from oracles import orbit_permutation, parse_truth_table_oracle
+from oracles import emit_truth_table_oracle, orbit_permutation, parse_truth_table_oracle
 
 HALF_ADDER_DOC = """\
 {
@@ -468,6 +468,57 @@ def test_changed_bytes_at_block_boundaries_match_the_oracle(shuffle):
         for bit in range(7):
             changed = chr(ord(text[position]) ^ 1 << bit)
             assert_matches_the_oracle(text[:position] + changed + text[position + 1 :])
+
+
+def decoded(text):
+    """The table the JSON decoder reads from a document."""
+    return TruthTable(*serialize._read_json(text))
+
+
+def field_span(row, name):
+    """Where the bits of a row line's "in" or "out" field start and end."""
+    start = row.index(f'"{name}": "') + len(name) + len('"": "')
+    return start, row.index('"', start)
+
+
+@pytest.mark.parametrize("shuffle", [False, True])
+@pytest.mark.parametrize("k", [1, 7, 8, 9, 15, 16, 17])
+def test_changed_bytes_at_chunk_boundaries(k, shuffle):
+    # Keys and labels are read eight bit bytes per word; the edits flip the
+    # first and last bit of each word, in the first and last row.  The
+    # row-by-row oracle takes seconds per document from k = 15 on, so there a
+    # changed input must leave the document to the decoder, which the other
+    # tests hold to the oracle, and a changed output must change one label bit.
+    rng = np.random.default_rng(k)
+    for n in [1, 7, 8, 9] + [20] * (k <= 4):
+        labels = rng.integers(0, 2**n, 2**k).tolist()
+        head, rows, tail = split_rows(emit_truth_table_oracle(k, n, labels))
+        if shuffle:
+            rows = rng.permutation(rows).tolist()
+        text = join_rows(head, rows, tail)
+        assert serialize._read_emitted_layout(text) is not None
+        parsed, want = parse_truth_table(text), decoded(text)
+        assert (parsed.input_count, parsed.output_qubits) == (k, n)
+        assert np.array_equal(parsed.label_indices, want.label_indices)
+        assert parsed.labels_by_weight == want.labels_by_weight
+        stride = len(rows[0]) + len(",\n")
+        for index in (0, len(rows) - 1):
+            row, at = rows[index], len(head) + index * stride
+            key = row[slice(*field_span(row, "in"))]
+            for name in ("in", "out"):
+                start, end = field_span(row, name)
+                words = range(start, end, 8)
+                for offset in sorted({b for w in words for b in (w, min(w + 8, end) - 1)}):
+                    flip = chr(ord(row[offset]) ^ 1)
+                    changed = text[: at + offset] + flip + text[at + offset + 1 :]
+                    if k < 15:
+                        assert_matches_the_oracle(changed)
+                    elif name == "in":
+                        assert serialize._read_emitted_layout(changed) is None
+                    else:
+                        flipped = want.label_indices.copy()
+                        flipped[int(key, 2)] ^= 1 << (end - 1 - offset)
+                        assert np.array_equal(parse_truth_table(changed).label_indices, flipped)
 
 
 def test_emitted_table_is_read_in_less_than_two_and_a_half_times_its_length():

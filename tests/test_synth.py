@@ -28,8 +28,9 @@ from qhckit.errors import (
     SynthesisError,
     ValidationError,
 )
-from qhckit.linalg import cycle_spectrum
+from qhckit.linalg import cycle_spectrum, orbit_column
 from qhckit.synth import (
+    VERIFY_TOLERANCE,
     QhcGate,
     RowCheck,
     analyze_symmetry,
@@ -243,6 +244,49 @@ def test_verify_scores_a_label_off_the_orbit():
     rows[(1, 1)] = "10"
     report = verify(synthesize(half_adder_truth_table()), TruthTable(2, 2, rows))
     assert report.rows[3] == RowCheck((1, 1), "10", "11", 1.0)
+
+
+def replay_every_weight(gate, table):
+    """Each row's check in counting order, the gate evolved once per row, plus passed and worst."""
+    orbit, n = gate.cycle.orbit, table.output_qubits
+    checks = []
+    for bits, label in table.rows.items():
+        column = orbit_column(gate.cycle, sum(bits))
+        target = np.zeros(len(orbit) + 1)
+        target[orbit.index(int(label, 2)) if int(label, 2) in orbit else len(orbit)] = 1.0
+        deviation = float(np.max(np.abs(np.append(column, 0.0) - target)))
+        obtained = index_to_label(orbit[int(np.argmax(np.abs(column)))], n)
+        checks.append(RowCheck(bits, label, obtained, deviation))
+    worst = max(check.deviation for check in checks)
+    passed = worst <= VERIFY_TOLERANCE and all(c.expected == c.obtained for c in checks)
+    return tuple(checks), passed, worst
+
+
+@pytest.mark.parametrize(
+    "weight_labels, length",
+    [
+        (("0", "0", "0", "0"), 1),
+        (("0", "1", "0", "1", "0"), 2),
+        (("00", "01", "11", "00", "01", "11"), 3),
+        (("000", "001", "101", "011", "010"), 5),  # k + 1
+    ],
+)
+def test_verify_matches_a_replay_of_every_weight(weight_labels, length):
+    k = len(weight_labels) - 1
+    table = weight_table(weight_labels, k)
+    gate = synthesize(table)
+    assert gate.length == length
+    # The gate gets two rows wrong: the first of weight 1 and the last.
+    n, rows = table.output_qubits, {}
+    for bits in ((0,) * (k - 1) + (1,), (1,) * k):
+        rows[bits] = index_to_label(label_to_index(table.rows[bits]) ^ (2**n - 1), n)
+    altered = TruthTable(k, n, {**table.rows, **rows})
+    for checked, passes in ((table, True), (altered, False)):
+        report = verify(gate, checked)
+        checks, passed, worst = replay_every_weight(gate, checked)
+        assert tuple(report.rows) == checks
+        assert (report.passed, report.max_deviation) == (passed, worst)
+        assert passed is passes
 
 
 def test_verify_dimension_mismatch():
