@@ -5,10 +5,9 @@ rest.  Its eigenvectors are discrete Fourier vectors supported on the orbit,
 so the spectrum is written down directly, with eigenangles on the principal
 branch (-pi, pi] by construction.  Every function of the permutation is
 therefore the identity (or zero) off the orbit and a circulant on it: one
-orbit column, computed as one product with a cached DFT matrix (numpy's
-FFT for orbits longer than any synthesized gate's), fixes
+orbit column, computed as one product with a cached DFT matrix, fixes
 ``U(s) = exp(-i s H)``, and the dense ``U(s)`` and ``H`` are scattered from
-such columns.
+such columns.  No orbit is longer than a synthesized gate's can be.
 
 Everything here is a pure function over immutable values; results can be
 shared across threads freely.
@@ -17,6 +16,7 @@ shared across threads freely.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
@@ -27,6 +27,9 @@ from .errors import InvalidOrbit, InvalidParameter
 
 # Largest dense matrix built: d = 2^11 is 64 MiB of complex entries.
 MAX_DENSE_DIM = 2**11
+# Longest orbit: a synthesized gate's is a prefix of the k + 1 <= 65 weight
+# labels.  The cached DFT matrices for all 65 lengths take about 1.5 MB.
+MAX_ORBIT = 65
 
 
 @dataclass(frozen=True)
@@ -65,9 +68,12 @@ def cycle_spectrum(orbit: Sequence[int], dim: int) -> SpectralDecomposition:
     """
     if dim < 1:
         raise InvalidOrbit(f"dimension must be positive, got {dim}")
-    orbit = tuple(int(i) for i in orbit)
-    if not orbit:
-        raise InvalidOrbit("orbit is empty")
+    if not 1 <= len(orbit) <= MAX_ORBIT:
+        raise InvalidOrbit(f"orbit must hold 1 to {MAX_ORBIT} states, got {len(orbit)}")
+    try:
+        orbit = tuple(map(operator.index, orbit))
+    except TypeError as exc:
+        raise InvalidOrbit(f"orbit indices must be integers: {exc}") from None
     if len(set(orbit)) != len(orbit):
         raise InvalidOrbit(f"orbit {orbit} repeats an index")
     out_of_range = [i for i in orbit if not 0 <= i < dim]
@@ -83,14 +89,7 @@ def cycle_spectrum(orbit: Sequence[int], dim: int) -> SpectralDecomposition:
     return SpectralDecomposition(dim=dim, orbit=orbit, angles=angles)
 
 
-# A synthesized gate's orbit holds at most 65 states (a prefix of the k + 1
-# weight labels, k <= 64).  Transforms up to that length are one product with
-# a cached DFT matrix, about 1.5 MB for all 65 lengths; longer orbits, which
-# only direct callers of this module build, take numpy's FFT and cache nothing.
-MAX_MATRIX_DFT = 65
-
-
-@lru_cache(maxsize=MAX_MATRIX_DFT)
+@lru_cache(maxsize=MAX_ORBIT)
 def _dft_matrix(length: int) -> np.ndarray:
     """Read-only L x L matrix of ``exp(-2*pi*i*j*m/L)``, the unnormalized DFT."""
     steps = np.arange(length)
@@ -105,13 +104,6 @@ def _dft_matrix(length: int) -> np.ndarray:
     return matrix
 
 
-def _dft(values: np.ndarray) -> np.ndarray:
-    """Unnormalized DFT of an orbit's L values."""
-    if len(values) > MAX_MATRIX_DFT:
-        return np.fft.fft(values)
-    return _dft_matrix(len(values)) @ values
-
-
 def orbit_column(spectrum: SpectralDecomposition, s: float) -> np.ndarray:
     """Column ``orbit[0]`` of ``U(s)`` at orbit positions 0..L-1.
 
@@ -119,7 +111,10 @@ def orbit_column(spectrum: SpectralDecomposition, s: float) -> np.ndarray:
     ``orbit[a]`` with amplitude ``column[(a - b) mod L]``.  At integer ``s``
     it is exactly the one-hot column of the permutation power ``P^s``.
     """
-    s = float(s)
+    try:
+        s = float(s)
+    except OverflowError:
+        raise InvalidParameter("evolution parameter is too large for a float") from None
     if not math.isfinite(s):
         raise InvalidParameter(f"evolution parameter must be finite, got {s}")
     length = len(spectrum.angles)
@@ -130,7 +125,7 @@ def orbit_column(spectrum: SpectralDecomposition, s: float) -> np.ndarray:
         column = np.zeros(length, dtype=complex)
         column[int(s) % length] = 1.0
         return column
-    return _dft(np.exp(1j * s * spectrum.angles)) / length
+    return _dft_matrix(length) @ np.exp(1j * s * spectrum.angles) / length
 
 
 def _require_dense(spectrum: SpectralDecomposition) -> None:
@@ -171,5 +166,5 @@ def hermitian_generator(spectrum: SpectralDecomposition) -> np.ndarray:
     the principal logarithm of the decomposed permutation.
     """
     _require_dense(spectrum)
-    column = _dft(-spectrum.angles) / len(spectrum.angles)
-    return _circulant_on_orbit(spectrum, column, 0.0)
+    length = len(spectrum.angles)
+    return _circulant_on_orbit(spectrum, _dft_matrix(length) @ -spectrum.angles / length, 0.0)

@@ -18,21 +18,21 @@ rows at a time.  Each row's input key and output label are then read eight
 bit bytes per word and go to TruthTable with the columns.  Any other JSON
 layout goes through the decoder, which also names every fault.
 
-Matrices use {"dim": d, "entries": [[{"re": x, "im": y}, ...], ...]} in
-row-major order.  Real and imaginary parts are written as shortest
-round-trip decimals, so emit followed by parse reproduces the matrix
-bit-exactly.  The CSV variant writes one row per line with "a+bi" cells
-and is meant for spreadsheets, not round-tripping.
+Matrices are written, never read, as {"dim": d, "entries": [[{"re": x,
+"im": y}, ...], ...]} in row-major order.  Real and imaginary parts are
+shortest round-trip decimals, so any JSON reader that parses them as
+doubles (json.loads does) gets every entry back bit-exactly.  The CSV
+variant writes one row per line with "a+bi" cells and is meant for
+spreadsheets, not round-tripping.
 
-Malformed structure raises ParseError; structurally sound documents whose
-rows break the truth-table invariants raise ValidationError.  Both carry
-row-level positions.
+A malformed truth-table document raises ParseError; a structurally sound
+one whose rows break the truth-table invariants raises ValidationError.
+Both carry row-level positions.
 """
 
 from __future__ import annotations
 
 import json
-import math
 import re
 from collections.abc import Iterator
 from operator import itemgetter
@@ -47,6 +47,7 @@ from .synth import (
     Columns,
     TruthTable,
     bit_column,
+    check_sizes,
     index_to_label,
 )
 
@@ -68,8 +69,7 @@ _BLOCK_BYTES = 32 * 1024
 
 def _load_json(text: str) -> Any:
     try:
-        # Reject the non-standard NaN/Infinity literals up front; they
-        # would silently break the bit-exact round-trip contract.
+        # Strict JSON: the non-standard NaN/Infinity literals are refused anywhere.
         return json.loads(text, parse_constant=_reject_constant)
     # ValueError: a JSONDecodeError, or an integer past int_max_str_digits.
     except (ValueError, RecursionError) as exc:
@@ -175,7 +175,7 @@ def _read_field(
     return values
 
 
-def _read_json(text: str) -> tuple[Any, Any, Columns]:
+def _read_json(text: str) -> tuple[int, int, Columns]:
     """The counts and columns of any document, by the JSON decoder; raises on a fault."""
     doc = _load_json(text)
     if not isinstance(doc, dict):
@@ -197,28 +197,28 @@ def _read_json(text: str) -> tuple[Any, Any, Columns]:
     except (KeyError, TypeError):
         end = next(p for p, item in enumerate(items) if not _is_row(item))
         sources, targets = list(map(_IN, items[:end])), list(map(_OUT, items[:end]))
-    columns = Columns(
-        *bit_column(sources),
-        *bit_column(targets),
-        lambda p: (tuple(map(int, sources[p])), targets[p]),
-    )
+    ins, outs = bit_column(sources), bit_column(targets)
     # Each row is checked in turn: a bad value, then a repeated input, and
-    # the first fault in document order wins.  Widths are checked once, by
-    # TruthTable, which names the same position.
-    bad = (columns.in_widths < 1) | (columns.out_widths < 1)
+    # the first fault in document order wins.  The caps come next, and the
+    # widths last, once every row is known to hold bit strings.
+    bad_in, bad_out = ins[1] < 1, outs[1] < 1
+    bad = bad_in | bad_out
     clean = int(np.argmax(bad)) if bad.any() else end
     repeat = _first_repeat(sources[:clean])
     if repeat is not None:
         raise ValidationError(f"row {repeat}: duplicate input row '{sources[repeat]}'")
     if clean < end:
-        in_fault = columns.in_widths[clean] < 1
-        field, value = ("in", sources[clean]) if in_fault else ("out", targets[clean])
+        field, value = ("in", sources[clean]) if bad_in[clean] else ("out", targets[clean])
         raise ParseError(
             f"row {clean}: {field!r} must be a nonempty string of 0/1, got {value!r}"
         )
     if end < len(items):
         raise ParseError(f"row {end}: expected an object with 'in' and 'out'")
-    return doc["inputs"], doc["output_qubits"], columns
+    k, n = doc["inputs"], doc["output_qubits"]
+    check_sizes(k, n)
+    return k, n, Columns.of_strings(
+        k, n, ins, outs, lambda p: (tuple(map(int, sources[p])), targets[p])
+    )
 
 
 def _is_row(item: Any) -> bool:
@@ -300,30 +300,3 @@ def emit_matrix(matrix: np.ndarray, fmt: str = "json") -> str:
         lines.append(f"    {json.dumps(cells)}{comma}")
     lines += ["  ]", "}", ""]
     return "\n".join(lines)
-
-
-def parse_matrix(text: str) -> np.ndarray:
-    """Parse the JSON matrix format back into a complex array."""
-    doc = _load_json(text)
-    if not isinstance(doc, dict) or "dim" not in doc or "entries" not in doc:
-        raise ParseError("expected a JSON object with 'dim' and 'entries'")
-    dim = doc["dim"]
-    if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
-        raise ParseError(f"'dim' must be a positive integer, got {dim!r}")
-    entries = doc["entries"]
-    if not isinstance(entries, list) or len(entries) != dim:
-        raise ParseError(f"'entries' must be an array of {dim} rows")
-    matrix = np.zeros((dim, dim), dtype=complex)
-    for r, row in enumerate(entries):
-        if not isinstance(row, list) or len(row) != dim:
-            raise ParseError(f"entries row {r}: expected {dim} cells")
-        for c, cell in enumerate(row):
-            if not isinstance(cell, dict) or "re" not in cell or "im" not in cell:
-                raise ParseError(f"entries[{r}][{c}]: expected an object with 're' and 'im'")
-            re, im = cell["re"], cell["im"]
-            if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (re, im)):
-                raise ParseError(f"entries[{r}][{c}]: 're' and 'im' must be numbers")
-            if not (math.isfinite(re) and math.isfinite(im)):
-                raise ParseError(f"entries[{r}][{c}]: entries must be finite")
-            matrix[r, c] = complex(re, im)
-    return matrix

@@ -133,7 +133,10 @@ def evaluate_continuous(
     else generally lands in a superposition.  The state is read on the
     gate's orbit, where all its amplitude lies.
     """
-    values = [float(x) for x in inputs]
+    try:
+        values = [float(x) for x in inputs]
+    except OverflowError:
+        raise InvalidParameter("inputs must be finite; one is too large for a float") from None
     if len(values) != gate.input_count:
         raise InvalidParameter(
             f"gate takes {gate.input_count} inputs, got {len(values)}"

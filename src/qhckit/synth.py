@@ -92,33 +92,48 @@ def binary_values(bits: np.ndarray) -> np.ndarray:
     return values
 
 
+def check_sizes(k: int, n: int) -> None:
+    """Refuse an input count ``k`` or output qubit count ``n`` outside its cap."""
+    if not 1 <= k <= MAX_INPUTS:
+        raise ValidationError(f"input count must be 1 to {MAX_INPUTS}, got {k}")
+    if not 1 <= n <= MAX_OUTPUT_QUBITS:
+        raise ValidationError(f"output qubit count must be 1 to {MAX_OUTPUT_QUBITS}, got {n}")
+
+
 class Columns(NamedTuple):
-    """A table's rows in the order given, as columns.
+    """A table's rows in the order given: each row's input key and output label, as numbers."""
 
-    ``in_bits`` and ``out_bits`` hold every row's input and output bits,
-    joined (see ``bit_column``) or one table row per array row;
-    ``in_widths`` and ``out_widths`` hold each row's widths.  ``given(p)``
-    returns row p's key and label as written, for error messages.  A reader
-    that has checked every row's widths and read its input and output as
-    binary numbers hands over only those, as ``keys`` and ``labels``.
-    """
-
-    in_bits: np.ndarray | None = None
-    in_widths: np.ndarray | None = None
-    out_bits: np.ndarray | None = None
-    out_widths: np.ndarray | None = None
-    given: Callable[[int], tuple[object, object]] | None = None
-    keys: np.ndarray | None = None
-    labels: np.ndarray | None = None
+    keys: np.ndarray
+    labels: np.ndarray
 
     @classmethod
-    def of_mapping(cls, rows: Mapping[object, object]) -> Columns:
+    def of_strings(cls, k: int, n: int, ins: tuple, outs: tuple, given: Callable) -> Columns:
+        """Columns of rows written as bit strings, once every row's widths are checked.
+
+        ``ins`` and ``outs`` are ``bit_column``'s bits and widths of the input and
+        output strings; ``given(p)`` returns row p's key and label as written.
+        """
+        (in_bits, in_widths), (out_bits, out_widths) = ins, outs
+        bad_input = in_widths != k
+        bad = bad_input | (out_widths != n)
+        if bad.any():
+            position = int(np.argmax(bad))
+            key, label = given(position)
+            if bad_input[position]:
+                raise ValidationError(f"row {position}: input {key!r} is not {k} bits")
+            raise ValidationError(f"row {position}: bad output label {label!r}; expected {n} bits")
+        return cls(binary_values(in_bits.reshape(-1, k)), binary_values(out_bits.reshape(-1, n)))
+
+    @classmethod
+    def of_mapping(cls, k: int, n: int, rows: Mapping[object, object]) -> Columns:
         keys, labels = list(rows), list(rows.values())
         # A key that is not a tuple of integer 0s and 1s gets no text, hence width -1.
         texts = [
             "".join(map("01".__getitem__, key)) if _is_bit_tuple(key) else None for key in keys
         ]
-        return cls(*bit_column(texts), *bit_column(labels), lambda p: (keys[p], labels[p]))
+        return cls.of_strings(
+            k, n, bit_column(texts), bit_column(labels), lambda p: (keys[p], labels[p])
+        )
 
 
 def _is_bit_tuple(key: object) -> bool:
@@ -190,31 +205,11 @@ class TruthTable:
 
     def __post_init__(self) -> None:
         # The caps come first: a huge count would otherwise size the work below.
-        if not 1 <= self.input_count <= MAX_INPUTS:
-            raise ValidationError(f"input count must be 1 to {MAX_INPUTS}, got {self.input_count}")
-        if not 1 <= self.output_qubits <= MAX_OUTPUT_QUBITS:
-            raise ValidationError(
-                f"output qubit count must be 1 to {MAX_OUTPUT_QUBITS}, got {self.output_qubits}"
-            )
+        check_sizes(self.input_count, self.output_qubits)
         k, n = self.input_count, self.output_qubits
         # The parser hands over columns; a mapping is turned into the same ones.
-        columns = self.rows if isinstance(self.rows, Columns) else Columns.of_mapping(self.rows)
-        keys, outputs = columns.keys, columns.labels
-        if keys is None:
-            bad_input = columns.in_widths != k
-            bad = bad_input | (columns.out_widths != n)
-            if bad.any():
-                # Rows are named by position, which for a parsed table is the
-                # position in the document.
-                position = int(np.argmax(bad))
-                key, label = columns.given(position)
-                if bad_input[position]:
-                    raise ValidationError(f"row {position}: input {key!r} is not {k} bits")
-                raise ValidationError(
-                    f"row {position}: bad output label {label!r}; expected {n} bits"
-                )
-            keys = binary_values(columns.in_bits.reshape(len(bad), k))
-            outputs = binary_values(columns.out_bits.reshape(len(bad), n))
+        rows = self.rows
+        keys, outputs = rows if isinstance(rows, Columns) else Columns.of_mapping(k, n, rows)
         count = len(keys)
         # The keys are distinct (the parser rejects duplicates, and a mapping
         # cannot hold any), so fewer than 2^k of them means a row is missing:

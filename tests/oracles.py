@@ -43,6 +43,18 @@ def orbit_column_fft(angles: np.ndarray, s: float) -> np.ndarray:
     return np.fft.fft(np.exp(1j * np.fmod(s, length) * angles)) / length
 
 
+def read_matrix(text: str) -> np.ndarray:
+    """A matrix document read back by strict ``json.loads``, NaN and Infinity refused."""
+    doc = json.loads(text, parse_constant=_reject_constant)
+    matrix = np.array([[complex(c["re"], c["im"]) for c in row] for row in doc["entries"]])
+    assert matrix.shape == (doc["dim"], doc["dim"])
+    return matrix
+
+
+def _reject_constant(name: str) -> None:
+    raise ValueError(f"non-finite literal {name}")
+
+
 def weight_table(weight_labels: tuple[str, ...], input_count: int) -> TruthTable:
     """Symmetric table whose weight-w inputs all map to weight_labels[w]."""
     rows = {

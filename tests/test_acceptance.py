@@ -23,13 +23,14 @@ from qhckit.gates import (
 )
 from qhckit.linalg import cycle_spectrum, exp_from_spectrum, hermitian_generator
 from qhckit.report import Scheme, resource_report
-from qhckit.serialize import emit_matrix, parse_matrix
+from qhckit.serialize import emit_matrix
 from qhckit.synth import qubit_count
 
 from oracles import (
     all_symmetric_tables,
     orbit_permutation,
     permutation_matrix,
+    read_matrix,
     satisfying_permutations,
 )
 
@@ -243,6 +244,6 @@ def test_criterion_8_cli_contract(tmp_path, capsys):
     matrix = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     four_cycle = orbit_permutation((0, 1, 2, 3), 4)
     for candidate in (matrix, four_cycle, half_adder_closed_form(0.3, 0.1)):
-        if not np.array_equal(parse_matrix(emit_matrix(candidate, "json")), candidate):
+        if not np.array_equal(read_matrix(emit_matrix(candidate, "json")), candidate):
             problems.append("matrix JSON round-trip not bit-exact")
     _conclude("CLI exit codes, diagnostics, and matrix round-trip", problems)

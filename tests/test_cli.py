@@ -1,5 +1,6 @@
 import contextlib
 import io
+import itertools
 import json
 import os
 import subprocess
@@ -14,7 +15,9 @@ from hypothesis import strategies as st
 import qhckit
 from qhckit import TruthTable, full_adder_truth_table, half_adder_truth_table, synthesize
 from qhckit.cli import MAX_GRID_POINTS, main
-from qhckit.serialize import emit_truth_table, parse_matrix
+from qhckit.serialize import emit_truth_table
+
+from oracles import read_matrix
 
 NON_SYMMETRIC_DOC = """\
 {
@@ -62,13 +65,13 @@ def test_synth_emits_generator_and_unitary(half_table_file, tmp_path, capsys):
         capsys,
     )
     assert code == 0
-    h = parse_matrix(h_file.read_text(encoding="utf-8"))
+    h = read_matrix(h_file.read_text(encoding="utf-8"))
     assert np.max(np.abs(h - h.conj().T)) < 1e-12
     doc = json.loads(out)
     assert doc["unitary"]["parameter"] == 1.0
     matrix = doc["unitary"]["matrix"]
     exact = synthesize(half_adder_truth_table()).unitary(1.0)
-    assert np.array_equal(parse_matrix(json.dumps(matrix)), exact)
+    assert np.array_equal(read_matrix(json.dumps(matrix)), exact)
     column = [row[0] for row in matrix["entries"]]
     reals = [cell["re"] for cell in column]
     assert np.max(np.abs(np.array(reals) - [0, 1, 0, 0])) < 1e-9
@@ -89,7 +92,7 @@ def test_huge_parameters_give_finite_json(command, half_table_file, capsys):
     doc = json.loads(out, parse_constant=_reject_constant)
     # Both sums are whole numbers, so the gate acts as a power of its cycle.
     if command == "synth":
-        magnitudes = np.abs(parse_matrix(json.dumps(doc["unitary"]["matrix"])))
+        magnitudes = np.abs(read_matrix(json.dumps(doc["unitary"]["matrix"])))
         assert np.max(np.abs(magnitudes - np.round(magnitudes))) < 1e-9
     else:
         assert doc["is_basis"] is True
@@ -323,6 +326,91 @@ def test_missing_file_exits_2(command, content, tmp_path, capsys):
     assert code == 2
     assert out == "" and "Traceback" not in err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+# Flag values for the whole-CLI property: non-finite, huge, empty, non-ASCII
+# and ordinary numbers and lists.
+CLI_VALUES = [
+    "nan", "inf", "-inf", "1e308", "-1e308", "9" * 5000, "", "é", "π,1", "0", "1", "-1",
+    "0.5", "2", "7", "1,0", "1,1,0", "0.5,0.25", "1e300,1e300", "nan,0", "1,0,1,1", "json",
+]
+
+
+@pytest.fixture(scope="module")
+def cli_files(tmp_path_factory):
+    """Table files with N <= 3, each document's bytes, and room for outputs."""
+    root = tmp_path_factory.mktemp("cli")
+    rows = {bits: format(3 * sum(bits) % 8, "03b") for bits in itertools.product((0, 1), repeat=3)}
+    half = emit_truth_table(half_adder_truth_table())
+    documents = {
+        "half.json": half.encode(),
+        "full.json": emit_truth_table(full_adder_truth_table()).encode(),
+        "weight.json": emit_truth_table(TruthTable(3, 3, rows)).encode(),
+        "xor.json": NON_SYMMETRIC_DOC.encode(),
+        "one-line.json": json.dumps(json.loads(half)).encode(),
+        "not-utf8.json": b"\xff" + half.encode(),
+    }
+    for name, content in documents.items():
+        (root / name).write_bytes(content)
+    tables = [str(root / name) for name in (*documents, "mutated.json", "missing.json")]
+    return root, list(documents.values()), [*tables, str(root)]
+
+
+@st.composite
+def cli_argv(draw, tables, outputs):
+    """argv from the four subcommands; a flag is left out one time in five."""
+    table = st.sampled_from(tables)
+
+    def value(*usual):  # three times in four a value the flag usually takes
+        return st.sampled_from((usual, usual, usual, CLI_VALUES)).flatmap(st.sampled_from)
+
+    gate = value("half-adder", "full-adder")
+    command = draw(st.sampled_from(["synth", "simulate", "verify", "report"]))
+    flags = {
+        "synth": [
+            ("--table", table),
+            ("--emit-h", st.sampled_from(outputs)),
+            ("--emit", value("json", "csv")),
+            ("--emit-u", value("0.3", "1")),
+            ("--tolerance", value("1e-9", "0")),
+        ],
+        "simulate": [
+            ("--gate", gate | table),
+            ("--inputs", value("1,0", "0.5,0.25", "1,1,0")),
+            ("--tolerance", value("1e-6")),
+        ],
+        "verify": [("--gate", gate), ("--grid", value("2", "7")), ("--tolerance", value("1e-9"))],
+        "report": [("--table", table)],
+    }[command]
+    argv = [command]
+    for flag, values in flags:
+        if draw(st.sampled_from((True, True, True, True, False))):
+            argv += [flag, draw(values)]
+    return argv
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_main_keeps_the_exit_code_contract(cli_files, data):
+    root, documents, tables = cli_files
+    base = bytearray(data.draw(st.sampled_from(documents)))
+    base[data.draw(st.integers(0, len(base) - 1))] = data.draw(st.integers(0, 255))
+    (root / "mutated.json").write_bytes(base)
+    argv = data.draw(cli_argv(tables, [str(root / "h.out"), str(root)]))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exit_:  # argparse refuses the command line
+            assert exit_.code == 2
+            code = 2
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert err.getvalue().startswith(("error: ", "usage:"))
+    elif code == 0 or out.getvalue():
+        json.loads(out.getvalue(), parse_constant=_reject_constant)
+    else:  # a table that admits no gate: a diagnostic and no result
+        assert err.getvalue().startswith("error: ")
 
 
 def test_non_symmetric_table_exits_1(tmp_path, capsys):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from qhckit.errors import InvalidOrbit, InvalidParameter
 from qhckit.linalg import (
-    MAX_MATRIX_DFT,
+    MAX_ORBIT,
     _dft_matrix,
     cycle_spectrum,
     exp_from_spectrum,
@@ -17,6 +17,7 @@ from qhckit.linalg import (
     orbit_column,
     unitarity_defect,
 )
+from qhckit.synth import MAX_INPUTS
 
 from oracles import orbit_column_fft, orbit_permutation
 
@@ -124,7 +125,17 @@ def test_group_law():
 
 @pytest.mark.parametrize(
     "orbit,dim",
-    [((), 4), ((0, 0), 4), ((0, 4), 4), ((-1,), 4), ((0,), 0)],
+    [
+        ((), 4),
+        ((0, 0), 4),
+        ((0, 4), 4),
+        ((-1,), 4),
+        ((0,), 0),
+        # Indices must be integers, not values that int() would truncate or parse.
+        ((0, 1.5, 3.9), 4),
+        (("0", "1"), 4),
+        ((0, math.nan), 4),
+    ],
 )
 def test_bad_orbits_rejected(orbit, dim):
     with pytest.raises(InvalidOrbit):
@@ -177,6 +188,7 @@ def test_dft_columns_match_an_fft_reference():
         reference = -np.fft.fft(spectrum.angles) / length
         assert np.max(np.abs(h[:length, 0] - reference)) < 1e-12, length
         assert np.array_equal(h, h.conj().T), length
+    assert _dft_matrix.cache_info().currsize <= MAX_ORBIT
     # Half turns are exact: the 2-cycle's generator has no imaginary residue.
     two_cycle = np.pi / 2 * np.array([[-1, 1], [1, -1]])
     assert np.array_equal(hermitian_generator(cycle_spectrum((0, 1), 2)), two_cycle)
@@ -192,24 +204,20 @@ def test_integer_parameters_give_exact_one_hot_columns():
 
 
 def test_long_orbits_build_no_quadratic_arrays():
-    # Only direct callers build orbits past the 65 states of a synthesized
-    # gate: their columns are one FFT, and the matrix cache never grows.
-    for length in (66, 100, 2**12, 2**12):
-        spectrum = cycle_spectrum(range(length), 2**16)
+    # A synthesized gate's orbit holds at most k + 1 = 65 states.  Longer
+    # orbits are refused by their length, before any index is read.
+    assert MAX_ORBIT == MAX_INPUTS + 1
+    for length in (MAX_ORBIT + 1, 100, 2**12):
         tracemalloc.start()
         try:
-            column = orbit_column(spectrum, 0.37)
+            with pytest.raises(InvalidOrbit, match=f"1 to {MAX_ORBIT} states, got {length}"):
+                cycle_spectrum(range(length), 2**16)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 2**20, length
-        assert np.array_equal(column, orbit_column_fft(spectrum.angles, 0.37)), length
-        assert _dft_matrix.cache_info().currsize <= MAX_MATRIX_DFT
-    spectrum = cycle_spectrum(range(100), 128)
-    reference = -np.fft.fft(spectrum.angles) / 100
-    assert np.array_equal(hermitian_generator(spectrum)[:100, 0], reference)
+        assert peak < 2**14, length
     # Dense matrices past the cap are refused before any column is computed.
-    huge = cycle_spectrum(range(2**16), 2**16)
+    huge = cycle_spectrum((0, 1, 3), 2**16)
     tracemalloc.start()
     try:
         for build in (lambda: exp_from_spectrum(huge, 0.5), lambda: hermitian_generator(huge)):

@@ -123,6 +123,17 @@ def test_evaluate_validates_inputs():
         evaluate_continuous(gate, (1.0, math.nan))
 
 
+def test_parameters_too_large_for_a_float_are_invalid():
+    gate = synthesize(half_adder_truth_table())
+    for call in (
+        lambda: gate.state(10**400),
+        lambda: gate.unitary(10**400),
+        lambda: evaluate_continuous(gate, [10**400, 0]),
+    ):
+        with pytest.raises(InvalidParameter, match="too large"):
+            call()
+
+
 def _near_integer_sum(input_count):
     """Inputs whose sum lies within 1e-7 of an integer."""
     return st.tuples(
