@@ -84,14 +84,14 @@ def _cmd_synth(args: argparse.Namespace) -> int:
         },
         "verification": {"passed": check.passed, "max_deviation": check.max_deviation},
     }
+    # The unitary is built first, so a parameter it refuses leaves no generator file.
+    if args.emit_u is not None:
+        unitary = {"parameter": args.emit_u, "matrix": matrix_document(gate.unitary(args.emit_u))}
     if args.emit_h is not None:
         Path(args.emit_h).write_text(emit_matrix(gate.generator, args.emit), encoding="utf-8")
         doc["generator_file"] = args.emit_h
     if args.emit_u is not None:
-        doc["unitary"] = {
-            "parameter": args.emit_u,
-            "matrix": matrix_document(gate.unitary(args.emit_u)),
-        }
+        doc["unitary"] = unitary
     _emit(doc)
     return 0 if check.passed else 1
 

@@ -16,7 +16,8 @@ order) is read without a JSON decoder: its row lines all have one length,
 so the rows are one byte grid, checked against a template row a block of
 rows at a time.  Each row's input key and output label are then read eight
 bit bytes per word and go to TruthTable with the columns.  Any other JSON
-layout goes through the decoder, which also names every fault.
+layout goes through the decoder, and its rows are checked one at a time in
+document order, which names every fault.
 
 Matrices are written, never read, as {"dim": d, "entries": [[{"re": x,
 "im": y}, ...], ...]} in row-major order.  Real and imaginary parts are
@@ -35,7 +36,6 @@ from __future__ import annotations
 import json
 import re
 from collections.abc import Iterator
-from operator import itemgetter
 from typing import Any
 
 import numpy as np
@@ -46,12 +46,10 @@ from .synth import (
     MAX_OUTPUT_QUBITS,
     Columns,
     TruthTable,
-    bit_column,
     check_sizes,
     index_to_label,
+    read_bits,
 )
-
-_IN, _OUT = itemgetter("in"), itemgetter("out")
 
 # The layout emit_truth_table writes, and the one parse_truth_table reads
 # without a JSON decoder: the header, then one row line per input in counting
@@ -131,48 +129,14 @@ def _read_emitted_layout(text: str) -> tuple[int, int, Columns] | None:
         if np.bitwise_and(out, mask[: len(block)], out=out).any():
             return None
     scratch = np.empty(count, np.uint64)
-    keys = _read_field(data, first + ins.start, stride, k, scratch)
+    keys = read_bits(data, first + ins.start, stride, k, scratch)
     # 2^k keys below 2^k fill the mask exactly when none repeats.
     seen = np.zeros(count, bool)
     seen[keys] = True
     if not seen.all():
         return None
-    labels = _read_field(data, first + outs.start, stride, n, scratch)
+    labels = read_bits(data, first + outs.start, stride, n, scratch)
     return k, n, Columns(keys=keys, labels=labels)
-
-
-# Eight '0'/'1' bytes read as one little-endian word: their low bits, masked
-# out and multiplied by _GATHER, land in the top byte with the first byte's
-# bit highest, and no partial products carry into one another.
-_BIT_BYTES = np.uint64(0x0101010101010101)
-_GATHER = np.uint64(0x8040201008040201)
-
-
-def _read_field(
-    data: bytes, start: int, stride: int, width: int, scratch: np.ndarray
-) -> np.ndarray:
-    """Each row's bit field read as a binary number, most significant bit first.
-
-    The field starts at byte ``start`` of the first row, and each row's at
-    ``stride`` bytes past the one before; it is read eight bytes per word,
-    with ``scratch`` (one word per row) holding all but the first.
-    A word may reach up to 7 bytes past the field, never past the document:
-    at least 11 bytes follow an input field in its row, and at least 9
-    follow an output field, counting the footer after the last row.  The
-    bits of those bytes land below the field's and are shifted out.
-    """
-    values = np.empty_like(scratch)
-    for at in range(0, width, 8):
-        size = min(8, width - at)
-        word = np.ndarray(len(values), "<u8", data, start + at, (stride,))
-        chunk = values if at == 0 else scratch
-        np.bitwise_and(word, _BIT_BYTES, out=chunk)
-        np.multiply(chunk, _GATHER, out=chunk)
-        np.right_shift(chunk, np.uint64(64 - size), out=chunk)
-        if at:
-            np.left_shift(values, np.uint64(size), out=values)
-            np.bitwise_or(values, chunk, out=values)
-    return values
 
 
 def _read_json(text: str) -> tuple[int, int, Columns]:
@@ -189,52 +153,31 @@ def _read_json(text: str) -> tuple[int, int, Columns]:
     if not isinstance(doc["rows"], list):
         raise ParseError("'rows' must be an array")
 
-    items = doc["rows"]
-    # Rows are read up to the first one that is not an object with "in" and "out".
-    end = len(items)
-    try:
-        sources, targets = list(map(_IN, items)), list(map(_OUT, items))
-    except (KeyError, TypeError):
-        end = next(p for p, item in enumerate(items) if not _is_row(item))
-        sources, targets = list(map(_IN, items[:end])), list(map(_OUT, items[:end]))
-    ins, outs = bit_column(sources), bit_column(targets)
-    # Each row is checked in turn: a bad value, then a repeated input, and
-    # the first fault in document order wins.  The caps come next, and the
-    # widths last, once every row is known to hold bit strings.
-    bad_in, bad_out = ins[1] < 1, outs[1] < 1
-    bad = bad_in | bad_out
-    clean = int(np.argmax(bad)) if bad.any() else end
-    repeat = _first_repeat(sources[:clean])
-    if repeat is not None:
-        raise ValidationError(f"row {repeat}: duplicate input row '{sources[repeat]}'")
-    if clean < end:
-        field, value = ("in", sources[clean]) if bad_in[clean] else ("out", targets[clean])
-        raise ParseError(
-            f"row {clean}: {field!r} must be a nonempty string of 0/1, got {value!r}"
-        )
-    if end < len(items):
-        raise ParseError(f"row {end}: expected an object with 'in' and 'out'")
+    # Each row in turn: its shape, its "in" and then "out" value, then a repeated
+    # input; the first fault in document order wins.  Caps, then widths, come last.
+    sources, targets, seen = [], [], set()
+    for position, item in enumerate(doc["rows"]):
+        if not (isinstance(item, dict) and "in" in item and "out" in item):
+            raise ParseError(f"row {position}: expected an object with 'in' and 'out'")
+        source, target = item["in"], item["out"]
+        if not isinstance(source, str) or not source or source.strip("01"):
+            raise _bad_value(position, "in", source)
+        if not isinstance(target, str) or not target or target.strip("01"):
+            raise _bad_value(position, "out", target)
+        if source in seen:
+            raise ValidationError(f"row {position}: duplicate input row '{source}'")
+        seen.add(source)
+        sources.append(source)
+        targets.append(target)
     k, n = doc["inputs"], doc["output_qubits"]
     check_sizes(k, n)
     return k, n, Columns.of_strings(
-        k, n, ins, outs, lambda p: (tuple(map(int, sources[p])), targets[p])
+        k, n, sources, targets, lambda p: tuple(map(int, sources[p]))
     )
 
 
-def _is_row(item: Any) -> bool:
-    return isinstance(item, dict) and "in" in item and "out" in item
-
-
-def _first_repeat(sources: list[str]) -> int | None:
-    """Position of the first input equal to an earlier one, or None."""
-    if len(set(sources)) == len(sources):
-        return None
-    seen: set[str] = set()
-    for position, source in enumerate(sources):
-        if source in seen:
-            return position
-        seen.add(source)
-    return None
+def _bad_value(position: int, field: str, value: Any) -> ParseError:
+    return ParseError(f"row {position}: {field!r} must be a nonempty string of 0/1, got {value!r}")
 
 
 def emit_truth_table(table: TruthTable) -> str:

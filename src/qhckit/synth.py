@@ -60,35 +60,39 @@ def index_to_label(index: int, bits: int) -> str:
     return format(index, f"0{bits}b")
 
 
-def bit_column(values: Sequence[object]) -> tuple[np.ndarray, np.ndarray]:
-    """The characters of a column of bit strings as 0/1 bytes, joined, and each value's width.
+# Eight '0'/'1' bytes read as one little-endian word: their low bits, masked
+# out and multiplied by _GATHER, land in the top byte with the first byte's
+# bit highest, and no partial products carry into one another.
+_BIT_BYTES = np.uint64(0x0101010101010101)
+_GATHER = np.uint64(0x8040201008040201)
 
-    A value that is not a string of 0s and 1s gets width -1; the bytes are
-    meaningful only when no width is -1.
+
+def read_bits(
+    data: bytes, start: int, stride: int, width: int, scratch: np.ndarray
+) -> np.ndarray:
+    """Each row's bit field read as a binary number, most significant bit first.
+
+    The field starts at byte ``start`` of the first row, and each row's at
+    ``stride`` bytes past the one before; it is read eight bytes per word,
+    with ``scratch`` (one word per row) holding all but the first.
+    A word may reach up to 7 bytes past the field, so at least 7 bytes must
+    follow the last row's field in ``data`` (an emitted document has 9 or
+    more after any field).  The bits of those bytes land below the field's
+    and are shifted out.
     """
-    strings = values
-    try:
-        text = "".join(strings)
-    except TypeError:  # not every value is a string
-        strings = [value if isinstance(value, str) else "" for value in values]
-        text = "".join(strings)
-    # One byte per character: anything but 0 or 1 lands outside {0, 1}.
-    bits = np.frombuffer(text.encode("ascii", "replace"), np.uint8) - ord("0")
-    widths = np.fromiter(map(len, strings), np.intp, len(strings))
-    faults = np.flatnonzero(bits > 1)
-    if faults.size:
-        widths[np.searchsorted(np.cumsum(widths), faults, side="right")] = -1
-    if strings is not values:
-        widths[[not isinstance(value, str) for value in values]] = -1
-    return bits, widths
-
-
-def binary_values(bits: np.ndarray) -> np.ndarray:
-    """Each row of a 0/1 matrix read as a binary number, most significant bit first."""
-    values = np.zeros(len(bits), np.uint64)
-    for column in bits.T:
-        values <<= 1
-        values |= column
+    values = np.empty_like(scratch)
+    if not len(values):
+        return values
+    for at in range(0, width, 8):
+        size = min(8, width - at)
+        word = np.ndarray(len(values), "<u8", data, start + at, (stride,))
+        chunk = values if at == 0 else scratch
+        np.bitwise_and(word, _BIT_BYTES, out=chunk)
+        np.multiply(chunk, _GATHER, out=chunk)
+        np.right_shift(chunk, np.uint64(64 - size), out=chunk)
+        if at:
+            np.left_shift(values, np.uint64(size), out=values)
+            np.bitwise_or(values, chunk, out=values)
     return values
 
 
@@ -101,39 +105,44 @@ def check_sizes(k: int, n: int) -> None:
 
 
 class Columns(NamedTuple):
-    """A table's rows in the order given: each row's input key and output label, as numbers."""
+    """A table's rows in the order given: each row's input key and output label, as numbers.
+
+    The byte-grid reader reads them off an emitted document; rows written as
+    bit strings, from the JSON decoder or a dict, come through ``of_strings``.
+    """
 
     keys: np.ndarray
     labels: np.ndarray
 
     @classmethod
-    def of_strings(cls, k: int, n: int, ins: tuple, outs: tuple, given: Callable) -> Columns:
-        """Columns of rows written as bit strings, once every row's widths are checked.
+    def of_strings(cls, k: int, n: int, sources: list, targets: list, shown: Callable) -> Columns:
+        """Columns of rows written as bit strings, checked one row at a time.
 
-        ``ins`` and ``outs`` are ``bit_column``'s bits and widths of the input and
-        output strings; ``given(p)`` returns row p's key and label as written.
+        Row p's input is ``sources[p]`` and its label ``targets[p]``; an input
+        that is not a string of k bits, or a label not a string of n bits, is
+        refused, and ``shown(p)`` gives the input as the caller wrote it.
         """
-        (in_bits, in_widths), (out_bits, out_widths) = ins, outs
-        bad_input = in_widths != k
-        bad = bad_input | (out_widths != n)
-        if bad.any():
-            position = int(np.argmax(bad))
-            key, label = given(position)
-            if bad_input[position]:
-                raise ValidationError(f"row {position}: input {key!r} is not {k} bits")
-            raise ValidationError(f"row {position}: bad output label {label!r}; expected {n} bits")
-        return cls(binary_values(in_bits.reshape(-1, k)), binary_values(out_bits.reshape(-1, n)))
+        for position, (source, target) in enumerate(zip(sources, targets)):
+            if not (isinstance(source, str) and len(source) == k) or source.strip("01"):
+                raise ValidationError(f"row {position}: input {shown(position)!r} is not {k} bits")
+            if not (isinstance(target, str) and len(target) == n) or target.strip("01"):
+                raise ValidationError(
+                    f"row {position}: bad output label {target!r}; expected {n} bits"
+                )
+        # read_bits reads up to 7 bytes past the last row's field.
+        scratch = np.empty(len(sources), np.uint64)
+        keys = read_bits(("".join(sources) + "\0" * 8).encode(), 0, k, k, scratch)
+        labels = read_bits(("".join(targets) + "\0" * 8).encode(), 0, n, n, scratch)
+        return cls(keys, labels)
 
     @classmethod
     def of_mapping(cls, k: int, n: int, rows: Mapping[object, object]) -> Columns:
-        keys, labels = list(rows), list(rows.values())
-        # A key that is not a tuple of integer 0s and 1s gets no text, hence width -1.
+        keys = list(rows)
+        # A key that is not a tuple of integer 0s and 1s gets no text.
         texts = [
             "".join(map("01".__getitem__, key)) if _is_bit_tuple(key) else None for key in keys
         ]
-        return cls.of_strings(
-            k, n, bit_column(texts), bit_column(labels), lambda p: (keys[p], labels[p])
-        )
+        return cls.of_strings(k, n, texts, list(rows.values()), keys.__getitem__)
 
 
 def _is_bit_tuple(key: object) -> bool:

@@ -230,6 +230,17 @@ def test_malformed_table_exits_2_with_row_diagnostic(tmp_path, capsys):
     assert "01" in err
 
 
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan", "1e400"])
+def test_refused_unitary_parameter_writes_no_generator_file(value, half_table_file, capsys):
+    h_file = Path(half_table_file).with_name("H.json")
+    argv = ["synth", "--table", half_table_file, "--emit-h", str(h_file), f"--emit-u={value}"]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+    assert sorted(path.name for path in h_file.parent.iterdir()) == ["half.json"]
+
+
 @pytest.mark.parametrize("flag", ["--emit-u", "--emit-h"])
 def test_dense_matrix_above_the_cap_exits_2(flag, tmp_path, capsys):
     # N = 12: synth and verify need no dense matrix, --emit-u/--emit-h do.

@@ -296,6 +296,35 @@ def test_first_fault_in_document_order_wins(rows, match):
         parse_truth_table_oracle(doc)
 
 
+# Faults for the last rows of a one-line k = 12, N = 3 document.
+LAST_ROW_FAULTS = {
+    "not-an-object": lambda row: 7,
+    "non-string-in": lambda row: {**row, "in": 12},
+    "bad-out": lambda row: {**row, "out": "01x"},
+    "duplicate-input": lambda row: {**row, "in": "0" * 12},
+    "thirteen-bit-input": lambda row: {**row, "in": row["in"] + "0"},
+    "two-bit-label": lambda row: {**row, "out": "01"},
+}
+
+
+@pytest.mark.parametrize(
+    "faults",
+    [(name,) for name in LAST_ROW_FAULTS]
+    + [("thirteen-bit-input", "bad-out"), ("two-bit-label", "duplicate-input")],
+    ids="-then-".join,
+)
+def test_the_row_walk_reaches_the_last_row(faults):
+    # The last fault goes in the last row.  Of two, the later row's fault
+    # is one checked sooner, so it wins.
+    rows = [{"in": format(i, "012b"), "out": format(i % 8, "03b")} for i in range(2**12)]
+    for at, name in enumerate(faults, len(rows) - len(faults)):
+        rows[at] = LAST_ROW_FAULTS[name](rows[at])
+    text = json.dumps({"inputs": 12, "output_qubits": 3, "rows": rows})
+    want = outcome(parse_truth_table_oracle, text)
+    assert want[1].startswith("row 4095: "), want
+    assert outcome(parse_truth_table, text) == want
+
+
 def table_with_labels(k, n, labels):
     rows = itertools.product((0, 1), repeat=k)
     return TruthTable(k, n, {bits: format(label, f"0{n}b") for bits, label in zip(rows, labels)})
@@ -500,6 +529,27 @@ def test_changed_bytes_at_chunk_boundaries(k, shuffle):
                         flipped = want.label_indices.copy()
                         flipped[int(key, 2)] ^= 1 << (end - 1 - offset)
                         assert np.array_equal(parse_truth_table(changed).label_indices, flipped)
+
+
+@pytest.mark.parametrize("k, n", [(7, 9), (8, 8), (9, 7), (15, 9), (16, 8), (17, 7), (3, 20)])
+def test_every_source_reads_the_same_packed_columns(k, n):
+    # Keys and labels joined without gaps are read eight bits per word too:
+    # a field spans one, two or three words, and the last row's word reads
+    # past its field into the padding.
+    rng = np.random.default_rng(k)
+    labels = rng.integers(0, 2**n, 2**k)
+    emitted = parse_truth_table(emit_truth_table_oracle(k, n, labels.tolist()))
+    assert np.array_equal(emitted.label_indices, labels)
+    # Both other sources list the rows in one shuffled order.
+    order = rng.permutation(2**k).tolist()
+    keys = list(itertools.product((0, 1), repeat=k))
+    outs = [format(label, f"0{n}b") for label in labels[order].tolist()]
+    rows = [{"in": format(i, f"0{k}b"), "out": out} for i, out in zip(order, outs)]
+    one_line = json.dumps({"inputs": k, "output_qubits": n, "rows": rows})
+    assert serialize._read_emitted_layout(one_line) is None
+    built = TruthTable(k, n, {keys[i]: out for i, out in zip(order, outs)})
+    for table in (built, parse_truth_table(one_line)):
+        assert np.array_equal(table.label_indices, emitted.label_indices)
 
 
 def test_emitted_table_is_read_in_less_than_two_and_a_half_times_its_length():
