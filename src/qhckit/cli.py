@@ -7,7 +7,8 @@ construction, and ``report`` compares qubit budgets against published baseline
 layouts.
 
 Results go to standard output as JSON; diagnostics go to standard error.
-Exit codes: 0 success, 1 verification or synthesis failure, 2 bad input.
+Exit codes: 0 success, 1 verification or synthesis failure, 2 bad input or
+any other package error.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import sys
 from pathlib import Path
 from typing import Any
 
-from .errors import InvalidParameter, ParseError, SynthesisError, ValidationError
+from .errors import QhcError, SynthesisError
 from .gates import BUILTINS, GateKind, cross_validate
 from .report import resource_report
 from .serialize import emit_matrix, matrix_document, parse_truth_table
@@ -232,7 +233,7 @@ def main(argv: list[str] | None = None) -> int:
     except SynthesisError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (ParseError, ValidationError, InvalidParameter, OSError, UnicodeDecodeError) as exc:
+    except (QhcError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

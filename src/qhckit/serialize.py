@@ -15,9 +15,9 @@ A document in exactly the layout emit_truth_table writes (rows in any
 order) is read without a JSON decoder: its row lines all have one length,
 so the rows are one byte grid, checked against a template row a block of
 rows at a time.  Each row's input key and output label are then read eight
-bit bytes per word and go to TruthTable with the columns.  Any other JSON
-layout goes through the decoder, and its rows are checked one at a time in
-document order, which names every fault.
+bit bytes per word and go to TruthTable as columns.  Any other JSON layout
+goes through the decoder: one walk checks its rows in document order, which
+names every fault, and the same word reader reads their joined bit strings.
 
 Matrices are written, never read, as {"dim": d, "entries": [[{"re": x,
 "im": y}, ...], ...]} in row-major order.  Real and imaginary parts are
@@ -46,9 +46,9 @@ from .synth import (
     MAX_OUTPUT_QUBITS,
     Columns,
     TruthTable,
+    check_row,
     check_sizes,
     index_to_label,
-    read_bits,
 )
 
 # The layout emit_truth_table writes, and the one parse_truth_table reads
@@ -128,14 +128,13 @@ def _read_emitted_layout(text: str) -> tuple[int, int, Columns] | None:
         np.bitwise_xor(block, expected[: len(block)], out=out)
         if np.bitwise_and(out, mask[: len(block)], out=out).any():
             return None
-    scratch = np.empty(count, np.uint64)
-    keys = read_bits(data, first + ins.start, stride, k, scratch)
+    keys = _read_bits(data, first + ins.start, stride, k, count)
     # 2^k keys below 2^k fill the mask exactly when none repeats.
     seen = np.zeros(count, bool)
     seen[keys] = True
     if not seen.all():
         return None
-    labels = read_bits(data, first + outs.start, stride, n, scratch)
+    labels = _read_bits(data, first + outs.start, stride, n, count)
     return k, n, Columns(keys=keys, labels=labels)
 
 
@@ -154,8 +153,10 @@ def _read_json(text: str) -> tuple[int, int, Columns]:
         raise ParseError("'rows' must be an array")
 
     # Each row in turn: its shape, its "in" and then "out" value, then a repeated
-    # input; the first fault in document order wins.  Caps, then widths, come last.
-    sources, targets, seen = [], [], set()
+    # input; the first fault in document order wins.  Caps come next, then the
+    # first row whose input or label has the wrong width.
+    k, n = doc["inputs"], doc["output_qubits"]
+    sources, targets, seen, misfit = [], [], set(), None
     for position, item in enumerate(doc["rows"]):
         if not (isinstance(item, dict) and "in" in item and "out" in item):
             raise ParseError(f"row {position}: expected an object with 'in' and 'out'")
@@ -169,15 +170,53 @@ def _read_json(text: str) -> tuple[int, int, Columns]:
         seen.add(source)
         sources.append(source)
         targets.append(target)
-    k, n = doc["inputs"], doc["output_qubits"]
+        if (len(source) != k or len(target) != n) and misfit is None:
+            misfit = position
     check_sizes(k, n)
-    return k, n, Columns.of_strings(
-        k, n, sources, targets, lambda p: tuple(map(int, sources[p]))
-    )
+    if misfit is not None:
+        check_row(misfit, tuple(map(int, sources[misfit])), targets[misfit], k, n)
+    # _read_bits reads up to 7 bytes past the last row's field.
+    keys = _read_bits(("".join(sources) + "\0" * 8).encode(), 0, k, k, len(sources))
+    labels = _read_bits(("".join(targets) + "\0" * 8).encode(), 0, n, n, len(targets))
+    return k, n, Columns(keys, labels)
 
 
 def _bad_value(position: int, field: str, value: Any) -> ParseError:
     return ParseError(f"row {position}: {field!r} must be a nonempty string of 0/1, got {value!r}")
+
+
+# Eight '0'/'1' bytes read as one little-endian word: their low bits, masked
+# out and multiplied by _GATHER, land in the top byte with the first byte's
+# bit highest, and no partial products carry into one another.
+_BIT_BYTES = np.uint64(0x0101010101010101)
+_GATHER = np.uint64(0x8040201008040201)
+
+
+def _read_bits(data: bytes, start: int, stride: int, width: int, count: int) -> np.ndarray:
+    """Each of ``count`` rows' bit field read as a binary number, most significant bit first.
+
+    The field starts at byte ``start`` of the first row, and each row's at
+    ``stride`` bytes past the one before; it is read eight bytes per word.
+    A word may reach up to 7 bytes past the field, so at least 7 bytes must
+    follow the last row's field in ``data`` (an emitted document has 9 or
+    more after any field).  The bits of those bytes land below the field's
+    and are shifted out.
+    """
+    values = np.empty(count, np.uint64)
+    if not count:
+        return values
+    scratch = np.empty(count, np.uint64) if width > 8 else None
+    for at in range(0, width, 8):
+        size = min(8, width - at)
+        word = np.ndarray(count, "<u8", data, start + at, (stride,))
+        chunk = values if at == 0 else scratch
+        np.bitwise_and(word, _BIT_BYTES, out=chunk)
+        np.multiply(chunk, _GATHER, out=chunk)
+        np.right_shift(chunk, np.uint64(64 - size), out=chunk)
+        if at:
+            np.left_shift(values, np.uint64(size), out=values)
+            np.bitwise_or(values, chunk, out=values)
+    return values
 
 
 def emit_truth_table(table: TruthTable) -> str:

@@ -13,7 +13,7 @@ the gate continuously between them.
 from __future__ import annotations
 
 import itertools
-from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 from functools import cache, cached_property
 from numbers import Integral
@@ -47,7 +47,7 @@ VERIFY_TOLERANCE = 1e-9
 
 
 def format_bits(bits: Iterable[int]) -> str:
-    return "".join(str(b) for b in bits)
+    return "".join(map("01".__getitem__, bits))
 
 
 def label_to_index(label: str) -> int:
@@ -60,42 +60,6 @@ def index_to_label(index: int, bits: int) -> str:
     return format(index, f"0{bits}b")
 
 
-# Eight '0'/'1' bytes read as one little-endian word: their low bits, masked
-# out and multiplied by _GATHER, land in the top byte with the first byte's
-# bit highest, and no partial products carry into one another.
-_BIT_BYTES = np.uint64(0x0101010101010101)
-_GATHER = np.uint64(0x8040201008040201)
-
-
-def read_bits(
-    data: bytes, start: int, stride: int, width: int, scratch: np.ndarray
-) -> np.ndarray:
-    """Each row's bit field read as a binary number, most significant bit first.
-
-    The field starts at byte ``start`` of the first row, and each row's at
-    ``stride`` bytes past the one before; it is read eight bytes per word,
-    with ``scratch`` (one word per row) holding all but the first.
-    A word may reach up to 7 bytes past the field, so at least 7 bytes must
-    follow the last row's field in ``data`` (an emitted document has 9 or
-    more after any field).  The bits of those bytes land below the field's
-    and are shifted out.
-    """
-    values = np.empty_like(scratch)
-    if not len(values):
-        return values
-    for at in range(0, width, 8):
-        size = min(8, width - at)
-        word = np.ndarray(len(values), "<u8", data, start + at, (stride,))
-        chunk = values if at == 0 else scratch
-        np.bitwise_and(word, _BIT_BYTES, out=chunk)
-        np.multiply(chunk, _GATHER, out=chunk)
-        np.right_shift(chunk, np.uint64(64 - size), out=chunk)
-        if at:
-            np.left_shift(values, np.uint64(size), out=values)
-            np.bitwise_or(values, chunk, out=values)
-    return values
-
-
 def check_sizes(k: int, n: int) -> None:
     """Refuse an input count ``k`` or output qubit count ``n`` outside its cap."""
     if not 1 <= k <= MAX_INPUTS:
@@ -104,51 +68,39 @@ def check_sizes(k: int, n: int) -> None:
         raise ValidationError(f"output qubit count must be 1 to {MAX_OUTPUT_QUBITS}, got {n}")
 
 
+def check_row(position: int, key: object, label: object, k: int, n: int) -> None:
+    """Refuse a row unless its key is a tuple of k integer bits and its label n bits."""
+    if not (_is_bit_tuple(key) and len(key) == k):
+        raise ValidationError(f"row {position}: input {key!r} is not {k} bits")
+    if not (isinstance(label, str) and len(label) == n) or label.strip("01"):
+        raise ValidationError(f"row {position}: bad output label {label!r}; expected {n} bits")
+
+
 class Columns(NamedTuple):
     """A table's rows in the order given: each row's input key and output label, as numbers.
 
-    The byte-grid reader reads them off an emitted document; rows written as
-    bit strings, from the JSON decoder or a dict, come through ``of_strings``.
+    The truth-table reader builds them from a document; ``of_mapping`` builds
+    them from a dict of rows.
     """
 
     keys: np.ndarray
     labels: np.ndarray
 
     @classmethod
-    def of_strings(cls, k: int, n: int, sources: list, targets: list, shown: Callable) -> Columns:
-        """Columns of rows written as bit strings, checked one row at a time.
-
-        Row p's input is ``sources[p]`` and its label ``targets[p]``; an input
-        that is not a string of k bits, or a label not a string of n bits, is
-        refused, and ``shown(p)`` gives the input as the caller wrote it.
-        """
-        for position, (source, target) in enumerate(zip(sources, targets)):
-            if not (isinstance(source, str) and len(source) == k) or source.strip("01"):
-                raise ValidationError(f"row {position}: input {shown(position)!r} is not {k} bits")
-            if not (isinstance(target, str) and len(target) == n) or target.strip("01"):
-                raise ValidationError(
-                    f"row {position}: bad output label {target!r}; expected {n} bits"
-                )
-        # read_bits reads up to 7 bytes past the last row's field.
-        scratch = np.empty(len(sources), np.uint64)
-        keys = read_bits(("".join(sources) + "\0" * 8).encode(), 0, k, k, scratch)
-        labels = read_bits(("".join(targets) + "\0" * 8).encode(), 0, n, n, scratch)
-        return cls(keys, labels)
-
-    @classmethod
     def of_mapping(cls, k: int, n: int, rows: Mapping[object, object]) -> Columns:
-        keys = list(rows)
-        # A key that is not a tuple of integer 0s and 1s gets no text.
-        texts = [
-            "".join(map("01".__getitem__, key)) if _is_bit_tuple(key) else None for key in keys
-        ]
-        return cls.of_strings(k, n, texts, list(rows.values()), keys.__getitem__)
+        """Columns of a dict of rows, each checked by ``check_row`` and converted in turn."""
+        keys, labels = [], []
+        for position, (key, label) in enumerate(rows.items()):
+            check_row(position, key, label, k, n)
+            keys.append(label_to_index(format_bits(key)))
+            labels.append(label_to_index(label))
+        return cls(np.array(keys, np.uint64), np.array(labels, np.uint64))
 
 
 def _is_bit_tuple(key: object) -> bool:
     return (
         isinstance(key, tuple)
-        and all(map(_is_integral, map(type, key)))
+        and all(map(_is_integral, set(map(type, key))))
         and _BIT_VALUES.issuperset(key)
     )
 

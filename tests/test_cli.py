@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 import qhckit
 from qhckit import TruthTable, full_adder_truth_table, half_adder_truth_table, synthesize
 from qhckit.cli import MAX_GRID_POINTS, main
+from qhckit.errors import DimensionError, InvalidOrbit
 from qhckit.serialize import emit_truth_table
 
 from oracles import read_matrix
@@ -174,6 +175,18 @@ def test_verify_builtin_gates(gate, capsys):
     assert doc["cross_validation"]["grid_points"] == 101
 
 
+@pytest.mark.parametrize("gate", ["half-adder", "full-adder"])
+def test_verify_failure_exits_1(gate, capsys):
+    # At tolerance 0 the truth table still passes, but the closed form and the
+    # synthesized gate differ by rounding.
+    code, out, err = run_cli(["verify", "--gate", gate, "--tolerance", "0"], capsys)
+    assert code == 1
+    doc = json.loads(out, parse_constant=_reject_constant)
+    assert doc["passed"] is False and doc["truth_table"]["passed"] is True
+    assert doc["cross_validation"]["max_difference"] > 0
+    assert err == f"error: verification failed for {gate}\n"
+
+
 def test_verify_rejects_unknown_gate(capsys):
     code, _, err = run_cli(["verify", "--gate", "adder"], capsys)
     assert code == 2
@@ -319,6 +332,13 @@ UNREADABLE_TABLES = {
     "deep-json": b"[" * 100000 + b"]" * 100000,
     # Longer than Python's int_max_str_digits, so int() refuses it.
     "huge-count": b'{"inputs": ' + b"9" * 5001 + b', "output_qubits": 2, "rows": []}',
+    # Plain json.loads accepts these non-standard literals; the reader must not.
+    **{
+        f"{literal}-literal": emit_truth_table(half_adder_truth_table())
+        .replace('"rows"', f'"note": {literal}, "rows"')
+        .encode()
+        for literal in ("NaN", "Infinity", "-Infinity")
+    },
 }
 
 
@@ -422,6 +442,18 @@ def test_main_keeps_the_exit_code_contract(cli_files, data):
         json.loads(out.getvalue(), parse_constant=_reject_constant)
     else:  # a table that admits no gate: a diagnostic and no result
         assert err.getvalue().startswith("error: ")
+
+
+@pytest.mark.parametrize("error", [InvalidOrbit, DimensionError])
+def test_every_package_error_exits_with_a_documented_code(
+    error, half_table_file, capsys, monkeypatch
+):
+    def refuse(table):
+        raise error("refused")
+
+    monkeypatch.setattr("qhckit.cli.synthesize", refuse)
+    code, out, err = run_cli(["synth", "--table", half_table_file], capsys)
+    assert (code, out, err) == (2, "", "error: refused\n")
 
 
 def test_non_symmetric_table_exits_1(tmp_path, capsys):

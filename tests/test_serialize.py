@@ -99,6 +99,16 @@ def test_an_integer_too_long_to_convert_is_a_parse_error(parse, doc):
         parse(doc)
 
 
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+def test_non_finite_literals_are_parse_errors(literal):
+    # Plain json.loads accepts the literal in an extra field; the reader must not.
+    text = HALF_ADDER_DOC.replace('"rows"', f'"note": {literal}, "rows"')
+    assert json.loads(text)["rows"] == json.loads(HALF_ADDER_DOC)["rows"]
+    with pytest.raises(ParseError) as info:
+        parse_truth_table(text)
+    assert str(info.value) == f"non-finite literal {literal!r} is not allowed"
+
+
 def test_matrix_json_round_trip_is_exact():
     matrix = half_adder_closed_form(0.3, 0.4)
     again = read_matrix(emit_matrix(matrix, "json"))
@@ -550,6 +560,13 @@ def test_every_source_reads_the_same_packed_columns(k, n):
     built = TruthTable(k, n, {keys[i]: out for i, out in zip(order, outs)})
     for table in (built, parse_truth_table(one_line)):
         assert np.array_equal(table.label_indices, emitted.label_indices)
+
+
+def test_an_over_cap_count_in_the_emitted_layout_is_left_to_the_decoder():
+    text = emit_truth_table_oracle(1, 21, [0, 1])
+    assert serialize._read_emitted_layout(text) is None
+    refused = (ValidationError, "output qubit count must be 1 to 20, got 21")
+    assert outcome(parse_truth_table, text) == outcome(parse_truth_table_oracle, text) == refused
 
 
 def test_emitted_table_is_read_in_less_than_two_and_a_half_times_its_length():

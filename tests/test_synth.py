@@ -510,6 +510,7 @@ def test_lazy_report_rows_match_the_eager_oracle(name):
     rows = report.rows
     assert len(rows) == len(eager) == 2**table.input_count
     assert tuple(rows) == eager and rows == eager and eager == rows
+    assert repr(rows) == repr(eager)
     assert [rows[i] for i in range(-len(rows), len(rows))] == list(eager + eager)
     for outside in (len(rows), -len(rows) - 1):
         with pytest.raises(IndexError):
