@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Four subcommands: ``synth`` builds a gate from a truth-table file, ``simulate``
-drives a gate with (possibly real-valued) inputs, ``verify`` replays a built-in
+drives a gate with (possibly real-valued) inputs, ``verify`` checks a built-in
 adder's truth table and cross-checks its closed form against the spectral
 construction, and ``report`` compares qubit budgets against published baseline
 layouts.
@@ -105,7 +105,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         {
             "gate": args.gate,
             "inputs": args.inputs,
-            "sum": sum(args.inputs),
+            "sum": math.fsum(args.inputs),
             "probabilities": list(outcome.probabilities),
             "label": outcome.label,
             "is_basis": outcome.is_basis,

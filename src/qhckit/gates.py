@@ -78,7 +78,7 @@ def full_adder_closed_form(alpha: float, gamma: float, beta: float) -> np.ndarra
     per asserted input.
     """
     _require_finite(alpha=alpha, gamma=gamma, beta=beta)
-    s = alpha + gamma + beta
+    s = math.fsum((alpha, gamma, beta))
     phase = complex(math.cos(math.pi * s), math.sin(math.pi * s))
     cos_half = math.cos(math.pi * s / 2.0)
     sin_half = math.sin(math.pi * s / 2.0)

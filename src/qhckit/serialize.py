@@ -33,6 +33,7 @@ Both carry row-level positions.
 
 from __future__ import annotations
 
+import itertools
 import json
 import re
 from collections.abc import Iterator
@@ -48,7 +49,7 @@ from .synth import (
     TruthTable,
     check_row,
     check_sizes,
-    index_to_label,
+    row_labels,
 )
 
 # The layout emit_truth_table writes, and the one parse_truth_table reads
@@ -222,10 +223,8 @@ def _read_bits(data: bytes, start: int, stride: int, width: int, count: int) -> 
 def emit_truth_table(table: TruthTable) -> str:
     """Serialize a table with rows in counting order, one per line."""
     k, n = table.input_count, table.output_qubits
-    rows = (
-        _ROW % (index_to_label(position, k), index_to_label(label, n))
-        for position, label in enumerate(table.label_indices.tolist())
-    )
+    keys = map("".join, itertools.product("01", repeat=k))
+    rows = map(_ROW.__mod__, zip(keys, row_labels(table.label_indices, table.labels_by_weight)))
     return _HEADER % (k, n) + _SEPARATOR.join(rows) + _FOOTER
 
 

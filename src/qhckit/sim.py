@@ -128,7 +128,8 @@ def evaluate_continuous(
     """Drive a gate with real-valued inputs and decode the result.
 
     The gate sees its inputs only through their sum, which becomes the
-    evolution parameter applied to the all-zeros state.  Boolean inputs
+    evolution parameter applied to the all-zeros state; ``math.fsum`` rounds
+    it correctly, so it does not depend on the inputs' order.  Boolean inputs
     reproduce the synthesized truth table as sharp basis outcomes; anything
     else generally lands in a superposition.  The state is read on the
     gate's orbit, where all its amplitude lies.
@@ -143,5 +144,8 @@ def evaluate_continuous(
         )
     if not all(math.isfinite(x) for x in values):
         raise InvalidParameter(f"inputs must be finite, got {values}")
-    column = orbit_column(gate.cycle, sum(values))
+    try:
+        column = orbit_column(gate.cycle, math.fsum(values))
+    except OverflowError:
+        raise InvalidParameter("the sum of the inputs overflows a float") from None
     return _read_out(gate.dim, gate.cycle.orbit, column, tolerance)

@@ -5,9 +5,9 @@ depends only on how many inputs are set.  Each input-weight class is mapped
 to one computational basis state of the output register, the weight-ordered
 output states are threaded into one cyclic orbit starting at the all-zero
 state, and the cycle's principal logarithm supplies a Hermitian generator.
-Driving ``exp(-i s H)`` with ``s`` equal to the number of asserted inputs
-then reproduces the table on basis states, while non-integer ``s`` sweeps
-the gate continuously between them.
+At integer ``s``, the number of asserted inputs, ``exp(-i s H)`` is a power
+of the cycle, so it reproduces the table exactly and ``verify`` compares
+labels; non-integer ``s`` sweeps the gate continuously between them.
 """
 
 from __future__ import annotations
@@ -44,6 +44,7 @@ MAX_INPUTS = 64
 MAX_OUTPUT_QUBITS = 20
 # Default entrywise tolerance of ``verify``, in the library and the command line.
 VERIFY_TOLERANCE = 1e-9
+Profile = tuple[frozenset[str], ...]  # a table's labels by input weight: labels_by_weight
 
 
 def format_bits(bits: Iterable[int]) -> str:
@@ -111,6 +112,12 @@ def _is_integral(kind: type) -> bool:
     return issubclass(kind, Integral)
 
 
+def row_labels(label_indices: np.ndarray, profile: Profile) -> Iterator[str]:
+    """Each row's label, in order: the string ``profile`` holds for its index, never formatted."""
+    text = {label_to_index(label): label for labels in profile for label in labels}
+    return map(text.__getitem__, label_indices.tolist())
+
+
 class TableRows(Mapping):
     """A table's rows, read-only: input bits to output label, in counting order.
 
@@ -118,18 +125,18 @@ class TableRows(Mapping):
     first time a row is read.
     """
 
-    def __init__(self, input_count: int, output_qubits: int, label_indices: np.ndarray) -> None:
-        self._shape = (input_count, output_qubits)
+    def __init__(self, input_count: int, label_indices: np.ndarray, profile: Profile) -> None:
+        self._input_count = input_count
         self._label_indices = label_indices
+        self._profile = profile
 
     def __len__(self) -> int:
         return len(self._label_indices)
 
     @cached_property
     def _rows(self) -> dict[tuple[int, ...], str]:
-        input_count, output_qubits = self._shape
-        labels = (index_to_label(index, output_qubits) for index in self._label_indices.tolist())
-        return dict(zip(itertools.product((0, 1), repeat=input_count), labels))
+        keys = itertools.product((0, 1), repeat=self._input_count)
+        return dict(zip(keys, row_labels(self._label_indices, self._profile)))
 
     def __getitem__(self, key: object) -> str:
         return self._rows[key]
@@ -159,7 +166,7 @@ class TruthTable:
     output_qubits: int
     rows: Mapping[tuple[int, ...], str]
     label_indices: np.ndarray = field(init=False, repr=False, compare=False)
-    labels_by_weight: tuple[frozenset[str], ...] = field(init=False, repr=False, compare=False)
+    labels_by_weight: Profile = field(init=False, repr=False, compare=False)
 
     # Frozen, but its rows compare by value: declare the table unhashable outright.
     __hash__ = None
@@ -192,7 +199,7 @@ class TruthTable:
             by_weight[pair >> n].add(index_to_label(pair & (2**n - 1), n))
         object.__setattr__(self, "label_indices", label_indices)
         object.__setattr__(self, "labels_by_weight", tuple(map(frozenset, by_weight)))
-        object.__setattr__(self, "rows", TableRows(k, n, label_indices))
+        object.__setattr__(self, "rows", TableRows(k, label_indices, self.labels_by_weight))
 
     @property
     def dim(self) -> int:
@@ -281,7 +288,7 @@ def synthesize(table: TruthTable) -> QhcGate:
 
 @dataclass(frozen=True)
 class RowCheck:
-    """Outcome of replaying one truth-table row through the gate."""
+    """Outcome of checking one truth-table row against the gate."""
 
     inputs: tuple[int, ...]
     expected: str
@@ -292,34 +299,35 @@ class RowCheck:
 class RowChecks(Sequence):
     """A report's row checks in counting order, each built when it is read.
 
-    ``outcomes[weight, label index]`` holds the expected label, the obtained
-    label and the deviation shared by every row with that weight and label.
-    Indexing takes negative positions, and a slice returns a tuple.
+    ``obtained[w]`` is the label the gate gives at input weight ``w``; a row
+    deviates by 1.0 when its label is another, else by 0.0.  Indexing takes
+    negative positions, and a slice returns a tuple.
     """
 
-    def __init__(
-        self, table: TruthTable, outcomes: dict[tuple[int, int], tuple[str, str, float]]
-    ) -> None:
+    def __init__(self, table: TruthTable, obtained: Sequence[str]) -> None:
         self._input_count = table.input_count
         self._label_indices = table.label_indices
-        self._outcomes = outcomes
+        self._profile = table.labels_by_weight
+        self._obtained = obtained
 
     def __len__(self) -> int:
         return len(self._label_indices)
 
-    def _check(self, bits: tuple[int, ...], label_index: int) -> RowCheck:
-        return RowCheck(bits, *self._outcomes[sum(bits), label_index])
+    def _check(self, bits: tuple[int, ...], expected: str) -> RowCheck:
+        obtained = self._obtained[sum(bits)]
+        return RowCheck(bits, expected, obtained, float(expected != obtained))
 
     def __getitem__(self, index):
         if isinstance(index, slice):
             return tuple(self[position] for position in range(len(self))[index])
         position = range(len(self))[index]
         bits = tuple(map(int, index_to_label(position, self._input_count)))
-        return self._check(bits, int(self._label_indices[position]))
+        (expected,) = row_labels(self._label_indices[position : position + 1], self._profile)
+        return self._check(bits, expected)
 
     def __iter__(self) -> Iterator[RowCheck]:
         rows = itertools.product((0, 1), repeat=self._input_count)
-        return map(self._check, rows, self._label_indices.tolist())
+        return map(self._check, rows, row_labels(self._label_indices, self._profile))
 
     def __eq__(self, other: object) -> bool:
         return tuple(self) == (tuple(other) if isinstance(other, RowChecks) else other)
@@ -341,43 +349,21 @@ class VerificationReport:
 def verify(
     gate: QhcGate, table: TruthTable, tolerance: float = VERIFY_TOLERANCE
 ) -> VerificationReport:
-    """Replay every table row through the gate's unitary at integer ``s``.
+    """Check every table row against the gate at integer ``s``, by label.
 
-    For each row the all-zero state is evolved with ``s`` equal to the input
-    weight; the result must match the expected basis state entrywise within
-    ``tolerance``.  A row's outcome depends only on its weight and label,
-    and the state at s = w is the one at orbit position w mod L, so each
-    position is evolved once and each weight's labels scored once; the
-    report's ``rows`` builds a row's check from those scores when it is read.
-    The state lies on the orbit: its L entries plus one zero stand for all d
-    of them.
+    At ``s = w`` the gate sends the all-zero state exactly to the state at
+    orbit position ``w mod L``, so a row of weight ``w`` deviates by 0.0 if
+    its label is that state's and by 1.0 if not; no state is evolved.  The
+    report passes when no row deviates and 0.0 is within ``tolerance``.
     """
     if gate.dim != table.dim:
         raise DimensionError(
             f"gate dimension {gate.dim} does not match table dimension {table.dim}"
         )
     orbit_labels = [index_to_label(index, table.output_qubits) for index in gate.cycle.orbit]
-    slot = {label: position for position, label in enumerate(orbit_labels)}
-    length = gate.length
-    # Row p holds the state at orbit position p: its orbit column, then one
-    # zero that stands for every off-orbit state.
-    states = np.zeros((min(length, len(table.labels_by_weight)), length + 1), complex)
-    states[:, :length] = [orbit_column(gate.cycle, p) for p in range(len(states))]
-    obtained = np.abs(states).argmax(axis=1).tolist()
-    pairs = [(w, label) for w, labels in enumerate(table.labels_by_weight) for label in labels]
-    weights, targets = np.array([(w, slot.get(label, length)) for w, label in pairs]).T
-    # A pair's deviation: |a - 1| at the expected slot, |a| at every other.
-    expected = np.arange(length + 1) == targets[:, None]
-    deviations = np.abs(states[weights % length] - expected).max(axis=1).tolist()
-    outcomes = {
-        (w, label_to_index(label)): (label, orbit_labels[obtained[w % length]], deviation)
-        for (w, label), deviation in zip(pairs, deviations)
-    }
-    worst = max(deviation for _, _, deviation in outcomes.values())
-    passed = worst <= tolerance and all(want == got for want, got, _ in outcomes.values())
-    return VerificationReport(
-        rows=RowChecks(table, outcomes), passed=passed, max_deviation=worst
-    )
+    obtained = [orbit_labels[w % gate.length] for w in range(table.input_count + 1)]
+    worst = float(any(labels != {got} for labels, got in zip(table.labels_by_weight, obtained)))
+    return VerificationReport(RowChecks(table, obtained), worst == 0 and worst <= tolerance, worst)
 
 
 def qubit_count(table: TruthTable) -> int:

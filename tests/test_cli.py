@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qhckit
@@ -150,6 +150,34 @@ def test_simulate_real_inputs_reach_superposition(capsys):
     assert doc["is_basis"] is False
     assert doc["label"] is None
     assert abs(sum(doc["probabilities"]) - 1.0) < 1e-10
+
+
+def run_main(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=100, deadline=None)
+@given(inputs=st.lists(st.floats(-1e300, 1e300), min_size=2, max_size=3))
+@example(inputs=[0.7, 0.2, 0.1])
+def test_simulate_does_not_depend_on_the_order_of_the_inputs(inputs):
+    # The gate sees only the sum; every ordering must print the same bytes,
+    # apart from the inputs it echoes back in the order given.
+    gate = {2: "half-adder", 3: "full-adder"}[len(inputs)]
+    runs = {
+        order: run_main(["simulate", "--gate", gate, "--inputs=" + ",".join(map(repr, order))])
+        for order in itertools.permutations(inputs)
+    }
+    code, out, err = runs[tuple(inputs)]
+    for order, (got_code, got_out, got_err) in runs.items():
+        assert (got_code, got_err) == (code, err)
+        if out:
+            doc = {**json.loads(out), "inputs": list(order)}
+            assert got_out == json.dumps(doc, indent=2, allow_nan=False) + "\n"
+        else:
+            assert got_out == ""
 
 
 def test_simulate_wrong_arity_exits_2(capsys):
@@ -363,7 +391,8 @@ def test_missing_file_exits_2(command, content, tmp_path, capsys):
 # and ordinary numbers and lists.
 CLI_VALUES = [
     "nan", "inf", "-inf", "1e308", "-1e308", "9" * 5000, "", "é", "π,1", "0", "1", "-1",
-    "0.5", "2", "7", "1,0", "1,1,0", "0.5,0.25", "1e300,1e300", "nan,0", "1,0,1,1", "json",
+    "0.5", "2", "7", "1,0", "1,1,0", "0.5,0.25", "1e300,1e300", "1e308,1e308",
+    "1e308,1e308,-1e308", "nan,0", "1,0,1,1", "json",
 ]
 
 

@@ -1,7 +1,10 @@
 import dataclasses
+import gc
 import itertools
 import json
+import math
 import tracemalloc
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -289,6 +292,53 @@ def test_verify_matches_a_replay_of_every_weight(weight_labels, length):
         assert passed is passes
 
 
+@st.composite
+def mismatched_pairs(draw):
+    """A gate synthesized from one table, and a second complete table with the same N.
+
+    The second table may have another k and L; a few of its rows are then
+    relabelled at random, which may leave it non-symmetric or off the orbit.
+    """
+    n = draw(st.integers(1, 3))
+    labels = [index_to_label(i, n) for i in range(2**n)]
+
+    def on_orbit(k, orbit):
+        return weight_table(tuple(labels[orbit[w % len(orbit)]] for w in range(k + 1)), k)
+
+    def random_orbit(k):
+        length = draw(st.integers(1, min(k + 1, 2**n)))
+        return (0, *draw(st.permutations(range(1, 2**n)))[: length - 1])
+
+    gate = synthesize(on_orbit(draw(st.integers(1, 6)), random_orbit(draw(st.integers(1, 6)))))
+    k = draw(st.integers(1, 6))
+    orbit = gate.cycle.orbit if draw(st.booleans()) else random_orbit(k)
+    table = on_orbit(k, orbit)
+    bits = st.tuples(*[st.integers(0, 1)] * k)
+    changes = draw(st.dictionaries(bits, st.sampled_from(labels), max_size=3))
+    return gate, TruthTable(k, n, {**table.rows, **changes})
+
+
+@settings(max_examples=300, deadline=None)
+@given(pair=mismatched_pairs())
+def test_verify_matches_the_float_oracles_on_mismatched_pairs(pair):
+    gate, table = pair
+    report = verify(gate, table)
+    assert tuple(report.rows) == row_checks_oracle(gate.cycle.orbit, table)
+    checks, passed, worst = replay_every_weight(gate, table)
+    assert tuple(report.rows) == checks
+    assert (report.passed, report.max_deviation) == (passed, worst)
+
+
+@pytest.mark.parametrize("tolerance", [-1.0, math.nan, 2.0])
+def test_a_wrong_label_fails_at_any_tolerance(tolerance):
+    table = full_adder_truth_table()
+    gate = synthesize(table)
+    wrong = TruthTable(3, 2, {**table.rows, (0, 1, 1): "00"})
+    assert verify(gate, wrong, tolerance).passed is False
+    # A negative or NaN tolerance fails even the table the gate was built from.
+    assert verify(gate, table, tolerance).passed is (tolerance == 2.0)
+
+
 def test_verify_dimension_mismatch():
     gate = synthesize(half_adder_truth_table())
     table = TruthTable(1, 1, {(0,): "0", (1,): "1"})
@@ -431,6 +481,14 @@ def test_rows_are_a_read_only_view_in_counting_order():
     with pytest.raises(ValueError):
         table.label_indices[0] = 1
     assert TruthTable(2, 2, table.rows) == table != TruthTable(2, 2, {**rows, (0, 0): "01"})
+    # Its rows read, a table is still freed by reference counting alone.
+    reference = weakref.ref(table)
+    gc.disable()
+    try:
+        del table
+        assert reference() is None
+    finally:
+        gc.enable()
 
 
 def pipeline_excess_peak(text: str) -> int:
