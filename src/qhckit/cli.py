@@ -24,7 +24,7 @@ from .errors import QhcError, SynthesisError
 from .gates import BUILTINS, GateKind, cross_validate
 from .report import resource_report
 from .serialize import emit_matrix, matrix_document, parse_truth_table
-from .sim import BASIS_TOLERANCE, evaluate_continuous
+from .sim import BASIS_TOLERANCE, evaluate_continuous, input_sum
 from .synth import VERIFY_TOLERANCE, QhcGate, TruthTable, format_bits, synthesize, verify
 
 _BUILTIN_GATES = tuple(kind.value for kind in GateKind)
@@ -105,7 +105,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         {
             "gate": args.gate,
             "inputs": args.inputs,
-            "sum": math.fsum(args.inputs),
+            "sum": input_sum(args.inputs),
             "probabilities": list(outcome.probabilities),
             "label": outcome.label,
             "is_basis": outcome.is_basis,

@@ -26,6 +26,7 @@ import numpy as np
 
 from .errors import InvalidParameter
 from .linalg import exp_from_spectrum
+from .sim import input_sum
 from .synth import TruthTable, analyze_symmetry, find_cycle, synthesize
 
 
@@ -78,7 +79,7 @@ def full_adder_closed_form(alpha: float, gamma: float, beta: float) -> np.ndarra
     per asserted input.
     """
     _require_finite(alpha=alpha, gamma=gamma, beta=beta)
-    s = math.fsum((alpha, gamma, beta))
+    s = input_sum((alpha, gamma, beta))
     phase = complex(math.cos(math.pi * s), math.sin(math.pi * s))
     cos_half = math.cos(math.pi * s / 2.0)
     sin_half = math.sin(math.pi * s / 2.0)

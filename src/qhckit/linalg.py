@@ -5,9 +5,9 @@ rest.  Its eigenvectors are discrete Fourier vectors supported on the orbit,
 so the spectrum is written down directly, with eigenangles on the principal
 branch (-pi, pi] by construction.  Every function of the permutation is
 therefore the identity (or zero) off the orbit and a circulant on it: one
-orbit column, computed as one product with a cached DFT matrix, fixes
-``U(s) = exp(-i s H)``, and the dense ``U(s)`` and ``H`` are scattered from
-such columns.  No orbit is longer than a synthesized gate's can be.
+orbit column, one product with a DFT matrix, fixes ``U(s) = exp(-i s H)``,
+and the dense ``U(s)`` and ``H`` are scattered from such columns.  Angles
+and DFT matrices are cached for each orbit length a synthesized gate can have.
 
 Everything here is a pure function over immutable values; results can be
 shared across threads freely.
@@ -46,10 +46,6 @@ class SpectralDecomposition:
     orbit: tuple[int, ...]
     angles: np.ndarray
 
-    def __post_init__(self) -> None:
-        # Shared, long-lived spectral data must never be mutated in place.
-        self.angles.setflags(write=False)
-
 
 def unitarity_defect(a: np.ndarray) -> float:
     """Largest entry of ``|a.H a - I|``; zero exactly when ``a`` is unitary."""
@@ -80,13 +76,17 @@ def cycle_spectrum(orbit: Sequence[int], dim: int) -> SpectralDecomposition:
     if out_of_range:
         raise InvalidOrbit(f"orbit indices {out_of_range} outside [0, {dim})")
 
-    length = len(orbit)
+    return SpectralDecomposition(dim=dim, orbit=orbit, angles=_angles(len(orbit)))
+
+
+@lru_cache(maxsize=MAX_ORBIT)
+def _angles(length: int) -> np.ndarray:
+    """Read-only eigenangles ``2*pi*j/L`` of an L-cycle in (-pi, pi], shared by all L-cycles."""
     modes = np.arange(length)
-    # Signed numerator keeps the wrapped angles exactly representable
-    # (e.g. 0, pi/2, pi, -pi/2 for a 4-cycle).
-    signed = np.where(2 * modes > length, modes - length, modes)
-    angles = 2.0 * np.pi * signed / length
-    return SpectralDecomposition(dim=dim, orbit=orbit, angles=angles)
+    # Signed numerators keep the wrapped angles exact (0, pi/2, pi, -pi/2 for L = 4).
+    angles = 2.0 * np.pi * np.where(2 * modes > length, modes - length, modes) / length
+    angles.setflags(write=False)
+    return angles
 
 
 @lru_cache(maxsize=MAX_ORBIT)

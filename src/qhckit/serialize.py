@@ -12,12 +12,12 @@ Truth tables travel as line-oriented JSON so diffs stay readable:
     }
 
 A document in exactly the layout emit_truth_table writes (rows in any
-order) is read without a JSON decoder: its row lines all have one length,
-so the rows are one byte grid, checked against a template row a block of
-rows at a time.  Each row's input key and output label are then read eight
-bit bytes per word and go to TruthTable as columns.  Any other JSON layout
-goes through the decoder: one walk checks its rows in document order, which
-names every fault, and the same word reader reads their joined bit strings.
+order) is read without a JSON decoder: its rows are one byte grid, checked a
+block at a time against template rows cached per (inputs, output_qubits).
+Keys and labels are read eight bit bytes per word and go to TruthTable as
+columns; only keys out of counting order are checked for repeats.  Any other
+JSON layout goes through the decoder: one walk checks its rows in document
+order, naming every fault, and the same word reader reads their joined bits.
 
 Matrices are written, never read, as {"dim": d, "entries": [[{"re": x,
 "im": y}, ...], ...]} in row-major order.  Real and imaginary parts are
@@ -37,6 +37,7 @@ import itertools
 import json
 import re
 from collections.abc import Iterator
+from functools import lru_cache
 from typing import Any
 
 import numpy as np
@@ -105,38 +106,46 @@ def _read_emitted_layout(text: str) -> tuple[int, int, Columns] | None:
     first = header.end()
     if k > MAX_INPUTS or n > MAX_OUTPUT_QUBITS:
         return None
-    template = np.frombuffer((_ROW % ("0" * k, "0" * n) + _SEPARATOR).encode(), np.uint8)
-    count, stride = 2**k, len(template)
+    count, stride, ins, outs, expected, mask = _grid_layout(k, n)
     rows_end = first + count * stride - len(_SEPARATOR)
     if len(data) != rows_end + len(_FOOTER) or not data.endswith(_FOOTER.encode()):
         return None
+    diff = np.empty_like(expected)
+    # The last row's separator slot holds the start of the footer, matched above.
+    body = np.frombuffer(data, np.uint8, rows_end - first, first)
+    for at in range(0, len(body), len(diff)):
+        block = body[at : at + len(diff)]
+        out = diff[: len(block)]
+        np.bitwise_xor(block, expected[: len(block)], out=out)
+        if np.count_nonzero(np.bitwise_and(out, mask[: len(block)], out=out)):
+            return None
+    keys = _read_bits(data, first + ins.start, stride, k, count)
+    in_order = np.array_equal(keys, np.arange(count, dtype=np.uint64))
+    if not in_order:
+        # 2^k keys below 2^k fill the mask exactly when none repeats.
+        seen = np.zeros(count, bool)
+        seen[keys] = True
+        if not seen.all():
+            return None
+    labels = _read_bits(data, first + outs.start, stride, n, count)
+    return k, n, Columns(keys=None if in_order else keys, labels=labels)
+
+
+@lru_cache(maxsize=16)
+def _grid_layout(k: int, n: int) -> tuple[int, int, slice, slice, np.ndarray, np.ndarray]:
+    """Row count and stride, key and label slices, and read-only template and mask blocks."""
+    template = np.frombuffer((_ROW % ("0" * k, "0" * n) + _SEPARATOR).encode(), np.uint8)
     lead, middle, _ = _ROW.split("%s")
     ins = slice(len(lead), len(lead) + k)
     outs = slice(ins.stop + len(middle), ins.stop + len(middle) + n)
     # A bit byte may differ from the template's '0' in its lowest bit only,
     # every other byte not at all.
-    fixed = np.full(stride, 0xFF, np.uint8)
+    fixed = np.full(len(template), 0xFF, np.uint8)
     fixed[ins] = fixed[outs] = 0xFE
-    block_rows = _BLOCK_BYTES // stride
-    expected, mask = np.tile(template, block_rows), np.tile(fixed, block_rows)
-    diff = np.empty_like(expected)
-    cells = np.frombuffer(data, np.uint8, count * stride, first)
-    # The last row's separator slot holds the start of the footer, matched above.
-    body = cells[: -len(_SEPARATOR)]
-    for at in range(0, len(body), len(diff)):
-        block = body[at : at + len(diff)]
-        out = diff[: len(block)]
-        np.bitwise_xor(block, expected[: len(block)], out=out)
-        if np.bitwise_and(out, mask[: len(block)], out=out).any():
-            return None
-    keys = _read_bits(data, first + ins.start, stride, k, count)
-    # 2^k keys below 2^k fill the mask exactly when none repeats.
-    seen = np.zeros(count, bool)
-    seen[keys] = True
-    if not seen.all():
-        return None
-    labels = _read_bits(data, first + outs.start, stride, n, count)
-    return k, n, Columns(keys=keys, labels=labels)
+    expected, mask = (np.tile(row, _BLOCK_BYTES // len(template)) for row in (template, fixed))
+    expected.setflags(write=False)
+    mask.setflags(write=False)
+    return 2**k, len(template), ins, outs, expected, mask
 
 
 def _read_json(text: str) -> tuple[int, int, Columns]:

@@ -128,7 +128,7 @@ def evaluate_continuous(
     """Drive a gate with real-valued inputs and decode the result.
 
     The gate sees its inputs only through their sum, which becomes the
-    evolution parameter applied to the all-zeros state; ``math.fsum`` rounds
+    evolution parameter applied to the all-zeros state; ``input_sum`` rounds
     it correctly, so it does not depend on the inputs' order.  Boolean inputs
     reproduce the synthesized truth table as sharp basis outcomes; anything
     else generally lands in a superposition.  The state is read on the
@@ -139,13 +139,20 @@ def evaluate_continuous(
     except OverflowError:
         raise InvalidParameter("inputs must be finite; one is too large for a float") from None
     if len(values) != gate.input_count:
-        raise InvalidParameter(
-            f"gate takes {gate.input_count} inputs, got {len(values)}"
-        )
+        raise InvalidParameter(f"gate takes {gate.input_count} inputs, got {len(values)}")
     if not all(math.isfinite(x) for x in values):
         raise InvalidParameter(f"inputs must be finite, got {values}")
+    column = orbit_column(gate.cycle, input_sum(values))
+    return _read_out(gate.dim, gate.cycle.orbit, column, tolerance)
+
+
+def input_sum(values: Sequence[float]) -> float:
+    """The correctly rounded sum of finite floats, in any order; refused if it overflows."""
     try:
-        column = orbit_column(gate.cycle, math.fsum(values))
+        return math.fsum(values)
+    except OverflowError:  # a partial sum overflowed: add exactly instead
+        from fractions import Fraction  # imported only here: it takes 4 ms to import
+    try:
+        return float(sum(map(Fraction, values)))
     except OverflowError:
         raise InvalidParameter("the sum of the inputs overflows a float") from None
-    return _read_out(gate.dim, gate.cycle.orbit, column, tolerance)

@@ -80,11 +80,11 @@ def check_row(position: int, key: object, label: object, k: int, n: int) -> None
 class Columns(NamedTuple):
     """A table's rows in the order given: each row's input key and output label, as numbers.
 
-    The truth-table reader builds them from a document; ``of_mapping`` builds
-    them from a dict of rows.
+    The truth-table reader builds them from a document, with ``keys`` None for
+    all 2^k rows in counting order; ``of_mapping`` builds them from a dict of rows.
     """
 
-    keys: np.ndarray
+    keys: np.ndarray | None
     labels: np.ndarray
 
     @classmethod
@@ -178,17 +178,20 @@ class TruthTable:
         # The parser hands over columns; a mapping is turned into the same ones.
         rows = self.rows
         keys, outputs = rows if isinstance(rows, Columns) else Columns.of_mapping(k, n, rows)
-        count = len(keys)
-        # The keys are distinct (the parser rejects duplicates, and a mapping
-        # cannot hold any), so fewer than 2^k of them means a row is missing:
-        # the first one in counting order is the first gap in the sorted keys.
-        # The shift avoids evaluating 2^k for huge k.
-        if count >> k == 0:
-            gaps = np.sort(keys) != np.arange(count, dtype=np.uint64)
-            missing = int(np.argmax(gaps)) if gaps.any() else count
-            raise ValidationError(f"missing input row '{index_to_label(missing, k)}'")
-        label_indices = np.empty(count, np.uint32)
-        label_indices[keys] = outputs
+        if keys is None:  # all 2^k rows, in counting order
+            keys = np.arange(len(outputs), dtype=np.uint64)
+            label_indices = outputs.astype(np.uint32)
+        else:
+            count = len(keys)
+            # The keys are distinct (the parser rejects repeats, a mapping cannot hold
+            # any), so fewer than 2^k means a row is missing: the first in counting
+            # order is the first gap in the sorted keys; the shift never evaluates 2^k.
+            if count >> k == 0:
+                gaps = np.sort(keys) != np.arange(count, dtype=np.uint64)
+                missing = int(np.argmax(gaps)) if gaps.any() else count
+                raise ValidationError(f"missing input row '{index_to_label(missing, k)}'")
+            label_indices = np.empty(count, np.uint32)
+            label_indices[keys] = outputs
         label_indices.flags.writeable = False
         # Each distinct (weight, label) pair, packed into one 27-bit integer.
         # (np.unique would import numpy.ma, 40 ms on a cold start.)

@@ -160,8 +160,9 @@ def run_main(argv):
 
 
 @settings(max_examples=100, deadline=None)
-@given(inputs=st.lists(st.floats(-1e300, 1e300), min_size=2, max_size=3))
+@given(inputs=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=2, max_size=3))
 @example(inputs=[0.7, 0.2, 0.1])
+@example(inputs=[1e308, 1e308, -1e308])
 def test_simulate_does_not_depend_on_the_order_of_the_inputs(inputs):
     # The gate sees only the sum; every ordering must print the same bytes,
     # apart from the inputs it echoes back in the order given.
@@ -402,6 +403,11 @@ def cli_files(tmp_path_factory):
     root = tmp_path_factory.mktemp("cli")
     rows = {bits: format(3 * sum(bits) % 8, "03b") for bits in itertools.product((0, 1), repeat=3)}
     half = emit_truth_table(half_adder_truth_table())
+    four = {bits: format(sum(bits) % 5, "03b") for bits in itertools.product((0, 1), repeat=4)}
+    head, _, rest = emit_truth_table(TruthTable(4, 3, four)).partition("[\n")
+    body, _, tail = rest.rpartition("\n  ]")
+    lines = np.random.default_rng(4).permutation(body.split(",\n")).tolist()
+    shuffled = head + "[\n" + ",\n".join(lines) + "\n  ]" + tail
     documents = {
         "half.json": half.encode(),
         "full.json": emit_truth_table(full_adder_truth_table()).encode(),
@@ -409,6 +415,10 @@ def cli_files(tmp_path_factory):
         "xor.json": NON_SYMMETRIC_DOC.encode(),
         "one-line.json": json.dumps(json.loads(half)).encode(),
         "not-utf8.json": b"\xff" + half.encode(),
+        "deep.json": b"[" * 100_000,
+        "over-cap.json": half.replace('"inputs": 2', '"inputs": 65').encode(),
+        "huge-count.json": half.replace('"inputs": 2', '"inputs": ' + "9" * 5001).encode(),
+        "shuffled.json": shuffled.encode(),
     }
     for name, content in documents.items():
         (root / name).write_bytes(content)

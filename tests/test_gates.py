@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -80,6 +81,13 @@ def test_periodicity():
         full_gap = full_adder_closed_form(s, 0, 0) - full_adder_closed_form(s + 4, 0, 0)
         assert np.max(np.abs(half_gap)) < 1e-12
         assert np.max(np.abs(full_gap)) < 1e-12
+
+
+def test_full_adder_sum_does_not_depend_on_the_order_of_the_parameters():
+    # 1e308 + 1e308 overflows on the way to the exact sum, about 3e307.
+    values = (1e308, 1e308, -1.7e308)
+    matrices = [full_adder_closed_form(*order) for order in itertools.permutations(values)]
+    assert all(np.array_equal(m, matrices[0]) for m in matrices)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

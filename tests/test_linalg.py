@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from qhckit.errors import InvalidOrbit, InvalidParameter
 from qhckit.linalg import (
     MAX_ORBIT,
+    _angles,
     _dft_matrix,
     cycle_spectrum,
     exp_from_spectrum,
@@ -192,6 +193,17 @@ def test_dft_columns_match_an_fft_reference():
     # Half turns are exact: the 2-cycle's generator has no imaginary residue.
     two_cycle = np.pi / 2 * np.array([[-1, 1], [1, -1]])
     assert np.array_equal(hermitian_generator(cycle_spectrum((0, 1), 2)), two_cycle)
+
+
+def test_cached_angles_are_the_formula_bit_for_bit():
+    for length in range(1, MAX_ORBIT + 1):
+        modes = np.arange(length)
+        signed = np.where(2 * modes > length, modes - length, modes)
+        want = 2.0 * np.pi * signed / length
+        got = cycle_spectrum(tuple(range(length)), 128).angles
+        assert got.tobytes() == want.tobytes(), length
+        assert not got.flags.writeable
+    assert _angles.cache_info().currsize <= _angles.cache_info().maxsize == MAX_ORBIT
 
 
 def test_integer_parameters_give_exact_one_hot_columns():

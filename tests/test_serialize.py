@@ -562,6 +562,47 @@ def test_every_source_reads_the_same_packed_columns(k, n):
         assert np.array_equal(table.label_indices, emitted.label_indices)
 
 
+@settings(max_examples=60, deadline=None)
+@given(k=st.integers(1, 10), n=st.integers(1, 4), seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_counting_order_shuffled_and_repeated_keys_match_the_oracle(k, n, seed, data):
+    # Keys in counting order skip the grid reader's duplicate check, any
+    # other order takes it, and a repeated key leaves the document to the
+    # decoder, which names the row.
+    rng = np.random.default_rng(seed)
+    labels = rng.integers(0, 2**n, 2**k).tolist()
+    head, rows, tail = split_rows(emit_truth_table_oracle(k, n, labels))
+    at, source = data.draw(st.lists(st.integers(0, 2**k - 1), min_size=2, max_size=2, unique=True))
+    start, end = field_span(rows[at], "in")
+    repeated = rows.copy()
+    repeated[at] = rows[at][:start] + rows[source][start:end] + rows[at][end:]
+    for layout in (rows, rng.permutation(rows).tolist(), repeated):
+        text = join_rows(head, layout, tail)
+        assert (serialize._read_emitted_layout(text) is None) == (layout is repeated)
+        want, got = outcome(parse_truth_table_oracle, text), outcome(parse_truth_table, text)
+        if isinstance(got, TruthTable):
+            _, _, oracle_rows, labels_by_weight = want
+            keys = itertools.product((0, 1), repeat=k)
+            assert got.label_indices.tolist() == [int(oracle_rows[bits], 2) for bits in keys]
+            assert got.labels_by_weight == labels_by_weight
+        else:
+            assert got == want
+
+
+def test_the_grid_layout_cache_is_bounded_and_read_only():
+    # More shapes than the cache holds: it stays at its maxsize, and nothing
+    # it keeps can be written through.
+    layout = serialize._grid_layout
+    shapes = list(itertools.product(range(1, 7), range(1, 5)))
+    assert len(shapes) > layout.cache_info().maxsize
+    for k, n in shapes:
+        parse_truth_table(emit_truth_table_oracle(k, n, [0] * 2**k))
+        assert layout.cache_info().currsize <= layout.cache_info().maxsize
+        hits = layout.cache_info().hits
+        *_, expected, mask = layout(k, n)
+        assert layout.cache_info().hits == hits + 1
+        assert not (expected.flags.writeable or mask.flags.writeable)
+
+
 def test_an_over_cap_count_in_the_emitted_layout_is_left_to_the_decoder():
     text = emit_truth_table_oracle(1, 21, [0, 1])
     assert serialize._read_emitted_layout(text) is None

@@ -1,6 +1,8 @@
 import dataclasses
+import itertools
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,7 +12,7 @@ from hypothesis import strategies as st
 from qhckit import evaluate_continuous, full_adder_truth_table, half_adder_truth_table, synthesize
 from qhckit.errors import DimensionError, InvalidParameter, NonUnitaryError
 from qhckit.gates import half_adder_closed_form
-from qhckit.sim import DecodedOutcome, apply, decode
+from qhckit.sim import DecodedOutcome, apply, decode, input_sum
 from qhckit.synth import index_to_label
 
 from oracles import orbit_permutation, weight_table
@@ -132,6 +134,17 @@ def test_parameters_too_large_for_a_float_are_invalid():
     ):
         with pytest.raises(InvalidParameter, match="too large"):
             call()
+
+
+def test_input_sum_is_exact_whatever_the_order():
+    # fsum overflows on 1e308 + 1e308 before it reaches the negative term;
+    # the exact sum is a float, and every order must give it.
+    for values in ([1e308, 1e308, -1e308], [1e308, 1e308, -1.7e308]):
+        want = float(sum(map(Fraction, values)))
+        for order in itertools.permutations(values):
+            assert input_sum(order) == want
+    with pytest.raises(InvalidParameter, match="overflows"):
+        input_sum([1e308, 1e308])
 
 
 def _near_integer_sum(input_count):
