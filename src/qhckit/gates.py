@@ -6,7 +6,8 @@ everything the package states about each one: its output label per input
 weight, which fixes the truth table, and its closed-form 4x4 matrix as a
 function of the input sum.  Both gates depend on their inputs only through
 the sum, so the formulas accept arbitrary real parameters and interpolate
-smoothly between the Boolean points.
+smoothly between the Boolean points; the sum is reduced modulo the period
+(3 or 4) before any trigonometry, so every finite sum keeps full accuracy.
 
 The same gates arise a second way, by synthesizing each truth table.
 ``cross_validate`` compares the closed form with the synthesized gate on a
@@ -53,7 +54,7 @@ def half_adder_closed_form(alpha: float, beta: float) -> np.ndarray:
     states differ by the antisymmetric ``circulation``.
     """
     _require_finite(alpha=alpha, beta=beta)
-    theta = 2.0 * math.pi * (alpha + beta) / 3.0
+    theta = 2.0 * math.pi * math.fmod(input_sum((alpha, beta)), 3.0) / 3.0
     stay = (2.0 * math.cos(theta) + 1.0) / 3.0
     exchange = (1.0 - math.cos(theta)) / 3.0
     circulation = math.sin(theta) / math.sqrt(3.0)
@@ -79,7 +80,7 @@ def full_adder_closed_form(alpha: float, gamma: float, beta: float) -> np.ndarra
     per asserted input.
     """
     _require_finite(alpha=alpha, gamma=gamma, beta=beta)
-    s = input_sum((alpha, gamma, beta))
+    s = math.fmod(input_sum((alpha, gamma, beta)), 4.0)
     phase = complex(math.cos(math.pi * s), math.sin(math.pi * s))
     cos_half = math.cos(math.pi * s / 2.0)
     sin_half = math.sin(math.pi * s / 2.0)

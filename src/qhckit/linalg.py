@@ -39,12 +39,16 @@ class SpectralDecomposition:
     ``angles[j]`` belongs to the discrete Fourier vector whose entry at
     ``orbit[m]`` is ``exp(-2*pi*i*j*m/L) / sqrt(L)`` and which is zero off
     the orbit.  Every basis state off the orbit is an eigenvector with angle
-    exactly 0, so only the L on-orbit angles are stored.
+    exactly 0.  The L on-orbit angles are derived from L, not stored (read-only,
+    shared by every L-cycle), so a spectrum is a plain hashable value.
     """
 
     dim: int
     orbit: tuple[int, ...]
-    angles: np.ndarray
+
+    @property
+    def angles(self) -> np.ndarray:
+        return _angles(len(self.orbit))
 
 
 def unitarity_defect(a: np.ndarray) -> float:
@@ -76,7 +80,7 @@ def cycle_spectrum(orbit: Sequence[int], dim: int) -> SpectralDecomposition:
     if out_of_range:
         raise InvalidOrbit(f"orbit indices {out_of_range} outside [0, {dim})")
 
-    return SpectralDecomposition(dim=dim, orbit=orbit, angles=_angles(len(orbit)))
+    return SpectralDecomposition(dim=dim, orbit=orbit)
 
 
 @lru_cache(maxsize=MAX_ORBIT)
@@ -117,7 +121,7 @@ def orbit_column(spectrum: SpectralDecomposition, s: float) -> np.ndarray:
         raise InvalidParameter("evolution parameter is too large for a float") from None
     if not math.isfinite(s):
         raise InvalidParameter(f"evolution parameter must be finite, got {s}")
-    length = len(spectrum.angles)
+    length = len(spectrum.orbit)
     # L * angles[j] is a multiple of 2*pi, so U has period L.  fmod is exact,
     # so the reduction keeps the phases accurate however large s is.
     s = math.fmod(s, length)
@@ -166,5 +170,5 @@ def hermitian_generator(spectrum: SpectralDecomposition) -> np.ndarray:
     the principal logarithm of the decomposed permutation.
     """
     _require_dense(spectrum)
-    length = len(spectrum.angles)
+    length = len(spectrum.orbit)
     return _circulant_on_orbit(spectrum, _dft_matrix(length) @ -spectrum.angles / length, 0.0)

@@ -14,10 +14,10 @@ Truth tables travel as line-oriented JSON so diffs stay readable:
 A document in exactly the layout emit_truth_table writes (rows in any
 order) is read without a JSON decoder: its rows are one byte grid, checked a
 block at a time against template rows cached per (inputs, output_qubits).
-Keys and labels are read eight bit bytes per word and go to TruthTable as
-columns; only keys out of counting order are checked for repeats.  Any other
-JSON layout goes through the decoder: one walk checks its rows in document
-order, naming every fault, and the same word reader reads their joined bits.
+Keys and labels are read eight bit bytes per word; only keys out of counting
+order are checked for repeats.  Any other layout goes through the decoder: one
+walk checks its rows in document order, naming every fault, and the same word
+reader reads their joined bits.  Both hand TruthTable labels in counting order.
 
 Matrices are written, never read, as {"dim": d, "entries": [[{"re": x,
 "im": y}, ...], ...]} in row-major order.  Real and imaginary parts are
@@ -46,10 +46,10 @@ from .errors import InvalidParameter, ParseError, ValidationError
 from .synth import (
     MAX_INPUTS,
     MAX_OUTPUT_QUBITS,
-    Columns,
     TruthTable,
     check_row,
     check_sizes,
+    counting_order,
     row_labels,
 )
 
@@ -83,15 +83,15 @@ def _reject_constant(name: str) -> None:
 def parse_truth_table(text: str) -> TruthTable:
     """Parse and validate a truth-table document."""
     parsed = _read_emitted_layout(text)
-    inputs, output_qubits, columns = parsed if parsed is not None else _read_json(text)
-    return TruthTable(inputs, output_qubits, columns)
+    inputs, output_qubits, labels = parsed if parsed is not None else _read_json(text)
+    return TruthTable(inputs, output_qubits, labels)
 
 
-def _read_emitted_layout(text: str) -> tuple[int, int, Columns] | None:
-    """The counts and columns of a document in exactly the emitted layout, else None.
+def _read_emitted_layout(text: str) -> tuple[int, int, np.ndarray] | None:
+    """Counts and counting-order labels of a document in exactly the emitted layout, else None.
 
     Each row line then has the same length, so the rows are one byte grid,
-    checked a block of rows at a time against the template row.  Columns
+    checked a block of rows at a time against the template row.  Labels
     come back only for a complete table with distinct inputs, where the JSON
     path would build an equal table; any other document, valid or not, is
     left to that path, the one source of every error.
@@ -128,7 +128,7 @@ def _read_emitted_layout(text: str) -> tuple[int, int, Columns] | None:
         if not seen.all():
             return None
     labels = _read_bits(data, first + outs.start, stride, n, count)
-    return k, n, Columns(keys=None if in_order else keys, labels=labels)
+    return k, n, labels if in_order else counting_order(k, keys, labels)
 
 
 @lru_cache(maxsize=16)
@@ -148,8 +148,8 @@ def _grid_layout(k: int, n: int) -> tuple[int, int, slice, slice, np.ndarray, np
     return 2**k, len(template), ins, outs, expected, mask
 
 
-def _read_json(text: str) -> tuple[int, int, Columns]:
-    """The counts and columns of any document, by the JSON decoder; raises on a fault."""
+def _read_json(text: str) -> tuple[int, int, np.ndarray]:
+    """Counts and counting-order labels of any document, by the JSON decoder; raises on a fault."""
     doc = _load_json(text)
     if not isinstance(doc, dict):
         raise ParseError(f"expected a JSON object, got {type(doc).__name__}")
@@ -188,7 +188,7 @@ def _read_json(text: str) -> tuple[int, int, Columns]:
     # _read_bits reads up to 7 bytes past the last row's field.
     keys = _read_bits(("".join(sources) + "\0" * 8).encode(), 0, k, k, len(sources))
     labels = _read_bits(("".join(targets) + "\0" * 8).encode(), 0, n, n, len(targets))
-    return k, n, Columns(keys, labels)
+    return k, n, counting_order(k, keys, labels)
 
 
 def _bad_value(position: int, field: str, value: Any) -> ParseError:

@@ -17,7 +17,6 @@ from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 from functools import cache, cached_property
 from numbers import Integral
-from typing import NamedTuple
 
 import numpy as np
 
@@ -77,25 +76,28 @@ def check_row(position: int, key: object, label: object, k: int, n: int) -> None
         raise ValidationError(f"row {position}: bad output label {label!r}; expected {n} bits")
 
 
-class Columns(NamedTuple):
-    """A table's rows in the order given: each row's input key and output label, as numbers.
+def counting_order(k: int, keys: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Distinct rows' labels put in counting order by key; refused unless all 2^k are there."""
+    count = len(keys)
+    # The keys are distinct (readers reject repeats), so fewer than 2^k leave a
+    # row out, the first gap in the sorted keys; the shift never evaluates 2^k.
+    if count >> k == 0:
+        gaps = np.sort(keys) != np.arange(count, dtype=np.uint64)
+        missing = int(np.argmax(gaps)) if gaps.any() else count
+        raise ValidationError(f"missing input row '{index_to_label(missing, k)}'")
+    ordered = np.empty_like(labels)
+    ordered[keys] = labels
+    return ordered
 
-    The truth-table reader builds them from a document, with ``keys`` None for
-    all 2^k rows in counting order; ``of_mapping`` builds them from a dict of rows.
-    """
 
-    keys: np.ndarray | None
-    labels: np.ndarray
-
-    @classmethod
-    def of_mapping(cls, k: int, n: int, rows: Mapping[object, object]) -> Columns:
-        """Columns of a dict of rows, each checked by ``check_row`` and converted in turn."""
-        keys, labels = [], []
-        for position, (key, label) in enumerate(rows.items()):
-            check_row(position, key, label, k, n)
-            keys.append(label_to_index(format_bits(key)))
-            labels.append(label_to_index(label))
-        return cls(np.array(keys, np.uint64), np.array(labels, np.uint64))
+def _mapping_labels(k: int, n: int, rows: Mapping[object, object]) -> np.ndarray:
+    """A dict of rows' labels in counting order, each row checked by ``check_row`` in turn."""
+    keys, labels = [], []
+    for position, (key, label) in enumerate(rows.items()):
+        check_row(position, key, label, k, n)
+        keys.append(label_to_index(format_bits(key)))
+        labels.append(label_to_index(label))
+    return counting_order(k, np.array(keys, np.uint64), np.array(labels, np.uint64))
 
 
 def _is_bit_tuple(key: object) -> bool:
@@ -154,17 +156,18 @@ class TruthTable:
 
     ``rows`` maps every input combination, as a tuple of 0/1 ints, to the
     output register's basis-state label, a string of ``output_qubits`` bits
-    with the most significant bit first.  After validation a table keeps
-    ``label_indices``, the basis index of each row's label with the rows in
-    counting order, and ``rows`` becomes a read-only ``TableRows`` view of
-    it.  ``labels_by_weight[w]`` holds the labels of the rows with exactly
+    with the most significant bit first.  A reader passes instead the array
+    of the 2^k labels' basis indices in counting order, trusted but for its
+    length.  After validation a table keeps those indices, ``label_indices``,
+    and ``rows`` becomes a read-only ``TableRows`` view of them.
+    ``labels_by_weight[w]`` holds the labels of the rows with exactly
     ``w`` ones; a gate sees its inputs only through that weight, so the rest
     of the package reads this profile.
     """
 
     input_count: int
     output_qubits: int
-    rows: Mapping[tuple[int, ...], str]
+    rows: Mapping[tuple[int, ...], str] | np.ndarray
     label_indices: np.ndarray = field(init=False, repr=False, compare=False)
     labels_by_weight: Profile = field(init=False, repr=False, compare=False)
 
@@ -172,31 +175,18 @@ class TruthTable:
     __hash__ = None
 
     def __post_init__(self) -> None:
-        # The caps come first: a huge count would otherwise size the work below.
-        check_sizes(self.input_count, self.output_qubits)
         k, n = self.input_count, self.output_qubits
-        # The parser hands over columns; a mapping is turned into the same ones.
-        rows = self.rows
-        keys, outputs = rows if isinstance(rows, Columns) else Columns.of_mapping(k, n, rows)
-        if keys is None:  # all 2^k rows, in counting order
-            keys = np.arange(len(outputs), dtype=np.uint64)
-            label_indices = outputs.astype(np.uint32)
-        else:
-            count = len(keys)
-            # The keys are distinct (the parser rejects repeats, a mapping cannot hold
-            # any), so fewer than 2^k means a row is missing: the first in counting
-            # order is the first gap in the sorted keys; the shift never evaluates 2^k.
-            if count >> k == 0:
-                gaps = np.sort(keys) != np.arange(count, dtype=np.uint64)
-                missing = int(np.argmax(gaps)) if gaps.any() else count
-                raise ValidationError(f"missing input row '{index_to_label(missing, k)}'")
-            label_indices = np.empty(count, np.uint32)
-            label_indices[keys] = outputs
+        check_sizes(k, n)  # first: a huge count would otherwise size the work below
+        rows = self.rows  # a reader's labels in counting order, or a mapping turned into them
+        labels = rows if isinstance(rows, np.ndarray) else _mapping_labels(k, n, rows)
+        if len(labels) != 1 << k:
+            raise ValidationError(f"expected {1 << k} labels in counting order, got {len(labels)}")
+        label_indices = labels.astype(np.uint32)
         label_indices.flags.writeable = False
-        # Each distinct (weight, label) pair, packed into one 27-bit integer.
-        # (np.unique would import numpy.ma, 40 ms on a cold start.)
-        # A row's weight is its key's popcount.
-        pairs = np.sort(np.bitwise_count(keys).astype(np.uint32) << n | outputs)
+        # Each distinct (weight, label) pair, packed into one 27-bit integer; a row's
+        # weight is its position's popcount.  (np.unique would import numpy.ma, 40 ms.)
+        weights = np.bitwise_count(np.arange(len(labels), dtype=np.uint64)).astype(np.uint32)
+        pairs = np.sort(weights << n | label_indices)
         by_weight: list[set[str]] = [set() for _ in range(k + 1)]
         for pair in pairs[np.append(True, pairs[1:] != pairs[:-1])].tolist():
             by_weight[pair >> n].add(index_to_label(pair & (2**n - 1), n))
@@ -213,8 +203,8 @@ class TruthTable:
 class QhcGate:
     """A synthesized continuous gate: its basis cycle and its input count.
 
-    ``cycle`` is the orbit the gate rotates through plus the eigenangles of
-    that cycle permutation; the orbit starts at the all-zero state.
+    ``cycle`` is the spectrum of the permutation that cycles the gate's
+    orbit, which starts at the all-zero state.
     """
 
     cycle: SpectralDecomposition

@@ -4,6 +4,8 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qhckit import TruthTable, full_adder_truth_table, half_adder_truth_table, synthesize
 from qhckit.errors import InvalidParameter
@@ -15,7 +17,8 @@ from qhckit.gates import (
     full_adder_closed_form,
     half_adder_closed_form,
 )
-from qhckit.linalg import cycle_spectrum, hermitian_generator
+from qhckit.linalg import cycle_spectrum, exp_from_spectrum, hermitian_generator
+from qhckit.sim import input_sum
 
 from oracles import orbit_permutation
 
@@ -88,6 +91,30 @@ def test_full_adder_sum_does_not_depend_on_the_order_of_the_parameters():
     values = (1e308, 1e308, -1.7e308)
     matrices = [full_adder_closed_form(*order) for order in itertools.permutations(values)]
     assert all(np.array_equal(m, matrices[0]) for m in matrices)
+
+
+@settings(max_examples=200, deadline=None)
+@given(values=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=2, max_size=3))
+@example(values=[6e307, 0.0, 0.0])  # pi * s overflows unless s is reduced first
+@example(values=[5e307, 0.0])
+@example(values=[1e15 + 0.5, 0.0, 0.0])  # 0.135 off before the reduction
+@example(values=[1e15 + 0.5, 0.0])
+@example(values=[1e12 + 0.25, 0.0])
+@example(values=[1e308, 1e308])  # the exact sum overflows
+def test_closed_forms_match_the_spectral_gate_at_every_finite_sum(values):
+    kind, closed_form = {
+        2: (GateKind.HALF_ADDER, half_adder_closed_form),
+        3: (GateKind.FULL_ADDER, full_adder_closed_form),
+    }[len(values)]
+    try:
+        s = input_sum(values)
+    except InvalidParameter:
+        with pytest.raises(InvalidParameter):
+            closed_form(*values)
+        return
+    gate = synthesize(BUILTINS[kind].truth_table())
+    gap = np.max(np.abs(closed_form(*values) - exp_from_spectrum(gate.cycle, s)))
+    assert gap <= 1e-9, (values, gap)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

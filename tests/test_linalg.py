@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from qhckit.errors import InvalidOrbit, InvalidParameter
 from qhckit.linalg import (
     MAX_ORBIT,
+    SpectralDecomposition,
     _angles,
     _dft_matrix,
     cycle_spectrum,
@@ -168,6 +170,18 @@ def test_spectrum_arrays_are_frozen():
     with pytest.raises(ValueError):
         spectrum.angles[0] = 1.0
     assert isinstance(spectrum.orbit, tuple)
+
+
+def test_spectra_are_plain_values_of_dim_and_orbit():
+    spectrum = cycle_spectrum((0, 1, 3), 4)
+    assert [field.name for field in dataclasses.fields(spectrum)] == ["dim", "orbit"]
+    twins = [cycle_spectrum([0, 1, 3], 4), SpectralDecomposition(4, (0, 1, 3))]
+    assert all(twin == spectrum and hash(twin) == hash(spectrum) for twin in twins)
+    assert {spectrum, *twins} == {spectrum}
+    assert cycle_spectrum((0, 1, 3), 8) not in {spectrum}
+    assert cycle_spectrum((0, 3, 1), 4) != spectrum
+    # The angles are derived from the orbit length: one shared read-only array.
+    assert twins[1].angles is spectrum.angles is _angles(3)
 
 
 def test_unitarity_defect_values():

@@ -142,6 +142,29 @@ def test_truth_table_is_unhashable():
         hash(half_adder_truth_table())
 
 
+def test_gates_are_hashable_values():
+    gate = synthesize(half_adder_truth_table())
+    twin = synthesize(half_adder_truth_table())
+    assert gate == twin and hash(gate) == hash(twin)
+    assert {gate, twin} == {gate} and twin in {gate}
+    assert synthesize(full_adder_truth_table()) not in {gate}
+    assert QhcGate(cycle_spectrum((0, 1, 3), 4), 2) == gate
+
+
+@pytest.mark.parametrize("length", [0, 1, 3, 5, 8])
+def test_a_label_array_of_the_wrong_length_is_refused(length):
+    with pytest.raises(ValidationError, match=f"expected 4 labels in counting order, got {length}"):
+        TruthTable(2, 2, np.zeros(length, np.uint64))
+
+
+def test_a_label_array_in_counting_order_is_the_table():
+    labels = np.array([0, 1, 1, 3], np.uint64)
+    table = TruthTable(2, 2, labels)
+    assert table == half_adder_truth_table()
+    assert table.label_indices.dtype == np.uint32 and not table.label_indices.flags.writeable
+    assert labels.flags.writeable  # the caller's array is copied, not frozen
+
+
 def test_analyze_symmetry_on_half_adder():
     assert analyze_symmetry(half_adder_truth_table()) == ("00", "01", "11")
 
