@@ -43,15 +43,7 @@ from typing import Any
 import numpy as np
 
 from .errors import InvalidParameter, ParseError, ValidationError
-from .synth import (
-    MAX_INPUTS,
-    MAX_OUTPUT_QUBITS,
-    TruthTable,
-    check_row,
-    check_sizes,
-    counting_order,
-    row_labels,
-)
+from .synth import MAX_INPUTS, MAX_OUTPUT_QUBITS, TruthTable, check_row, check_sizes, counting_order
 
 # The layout emit_truth_table writes, and the one parse_truth_table reads
 # without a JSON decoder: the header, then one row line per input in counting
@@ -233,7 +225,7 @@ def emit_truth_table(table: TruthTable) -> str:
     """Serialize a table with rows in counting order, one per line."""
     k, n = table.input_count, table.output_qubits
     keys = map("".join, itertools.product("01", repeat=k))
-    rows = map(_ROW.__mod__, zip(keys, row_labels(table.label_indices, table.labels_by_weight)))
+    rows = map(_ROW.__mod__, zip(keys, table.rows.labels()))
     return _HEADER % (k, n) + _SEPARATOR.join(rows) + _FOOTER
 
 

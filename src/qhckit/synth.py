@@ -17,6 +17,7 @@ from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 from functools import cache, cached_property
 from numbers import Integral
+from typing import NamedTuple
 
 import numpy as np
 
@@ -61,11 +62,11 @@ def index_to_label(index: int, bits: int) -> str:
 
 
 def check_sizes(k: int, n: int) -> None:
-    """Refuse an input count ``k`` or output qubit count ``n`` outside its cap."""
-    if not 1 <= k <= MAX_INPUTS:
-        raise ValidationError(f"input count must be 1 to {MAX_INPUTS}, got {k}")
-    if not 1 <= n <= MAX_OUTPUT_QUBITS:
-        raise ValidationError(f"output qubit count must be 1 to {MAX_OUTPUT_QUBITS}, got {n}")
+    """Refuse an input count ``k`` or output qubit count ``n`` unless an integer within its cap."""
+    if not (isinstance(k, Integral) and 1 <= k <= MAX_INPUTS):
+        raise ValidationError(f"input count must be 1 to {MAX_INPUTS}, got {k!r}")
+    if not (isinstance(n, Integral) and 1 <= n <= MAX_OUTPUT_QUBITS):
+        raise ValidationError(f"output qubit count must be 1 to {MAX_OUTPUT_QUBITS}, got {n!r}")
 
 
 def check_row(position: int, key: object, label: object, k: int, n: int) -> None:
@@ -114,31 +115,38 @@ def _is_integral(kind: type) -> bool:
     return issubclass(kind, Integral)
 
 
-def row_labels(label_indices: np.ndarray, profile: Profile) -> Iterator[str]:
-    """Each row's label, in order: the string ``profile`` holds for its index, never formatted."""
-    text = {label_to_index(label): label for labels in profile for label in labels}
-    return map(text.__getitem__, label_indices.tolist())
-
-
 class TableRows(Mapping):
     """A table's rows, read-only: input bits to output label, in counting order.
 
-    The length is known up front; the dict behind the mapping is built the
-    first time a row is read.
+    The one source of rows: ``walk`` and ``row`` read the label indices, each
+    label ``text``'s string for it; the mapping's dict is built when first read.
     """
 
-    def __init__(self, input_count: int, label_indices: np.ndarray, profile: Profile) -> None:
+    def __init__(self, input_count: int, label_indices: np.ndarray, text: dict[int, str]) -> None:
         self._input_count = input_count
         self._label_indices = label_indices
-        self._profile = profile
+        self._text = text
 
     def __len__(self) -> int:
         return len(self._label_indices)
 
+    def labels(self) -> Iterator[str]:
+        """Each row's label, in counting order."""
+        return map(self._text.__getitem__, self._label_indices.tolist())
+
+    def walk(self) -> Iterator[tuple[tuple[int, ...], str]]:
+        """Each row's input bits and label, in counting order."""
+        return zip(itertools.product((0, 1), repeat=self._input_count), self.labels())
+
+    def row(self, position: int) -> tuple[tuple[int, ...], str]:
+        """The input bits and label of the row at ``position``, which may be negative."""
+        position = range(len(self))[position]
+        bits = tuple(map(int, index_to_label(position, self._input_count)))
+        return bits, self._text[int(self._label_indices[position])]
+
     @cached_property
     def _rows(self) -> dict[tuple[int, ...], str]:
-        keys = itertools.product((0, 1), repeat=self._input_count)
-        return dict(zip(keys, row_labels(self._label_indices, self._profile)))
+        return dict(self.walk())
 
     def __getitem__(self, key: object) -> str:
         return self._rows[key]
@@ -157,9 +165,10 @@ class TruthTable:
     ``rows`` maps every input combination, as a tuple of 0/1 ints, to the
     output register's basis-state label, a string of ``output_qubits`` bits
     with the most significant bit first.  A reader passes instead the array
-    of the 2^k labels' basis indices in counting order, trusted but for its
-    length.  After validation a table keeps those indices, ``label_indices``,
-    and ``rows`` becomes a read-only ``TableRows`` view of them.
+    of the 2^k labels' basis indices in counting order, refused unless it
+    is 1-D, of an integer dtype, 2^k long and below 2^N throughout.  After
+    validation a table keeps those indices, ``label_indices``, and ``rows``
+    becomes a read-only ``TableRows`` view of them.
     ``labels_by_weight[w]`` holds the labels of the rows with exactly
     ``w`` ones; a gate sees its inputs only through that weight, so the rest
     of the package reads this profile.
@@ -177,10 +186,18 @@ class TruthTable:
     def __post_init__(self) -> None:
         k, n = self.input_count, self.output_qubits
         check_sizes(k, n)  # first: a huge count would otherwise size the work below
-        rows = self.rows  # a reader's labels in counting order, or a mapping turned into them
-        labels = rows if isinstance(rows, np.ndarray) else _mapping_labels(k, n, rows)
+        labels = self.rows  # a reader's labels in counting order, or a mapping turned into them
+        if isinstance(labels, Mapping):
+            labels = _mapping_labels(k, n, labels)
+        elif not isinstance(labels, np.ndarray):
+            raise ValidationError(f"rows must be a mapping or array, got {type(labels).__name__}")
+        elif labels.ndim != 1 or labels.dtype.kind not in "iu":
+            raise ValidationError(f"labels must be 1-D ints, got {labels.ndim}-D {labels.dtype}")
         if len(labels) != 1 << k:
             raise ValidationError(f"expected {1 << k} labels in counting order, got {len(labels)}")
+        # A negative label wraps to 2^63 or more, so one pass finds every label off the register.
+        if int(labels.astype(np.uint64, copy=False).max()) >> n:
+            raise ValidationError(f"label indices must be 0 to {2**n - 1}")
         label_indices = labels.astype(np.uint32)
         label_indices.flags.writeable = False
         # Each distinct (weight, label) pair, packed into one 27-bit integer; a row's
@@ -188,11 +205,13 @@ class TruthTable:
         weights = np.bitwise_count(np.arange(len(labels), dtype=np.uint64)).astype(np.uint32)
         pairs = np.sort(weights << n | label_indices)
         by_weight: list[set[str]] = [set() for _ in range(k + 1)]
+        text: dict[int, str] = {}  # one string per distinct label, for the profile and the rows
         for pair in pairs[np.append(True, pairs[1:] != pairs[:-1])].tolist():
-            by_weight[pair >> n].add(index_to_label(pair & (2**n - 1), n))
+            index = pair & (2**n - 1)
+            by_weight[pair >> n].add(text.setdefault(index, index_to_label(index, n)))
         object.__setattr__(self, "label_indices", label_indices)
         object.__setattr__(self, "labels_by_weight", tuple(map(frozenset, by_weight)))
-        object.__setattr__(self, "rows", TableRows(k, label_indices, self.labels_by_weight))
+        object.__setattr__(self, "rows", TableRows(k, label_indices, text))
 
     @property
     def dim(self) -> int:
@@ -279,8 +298,7 @@ def synthesize(table: TruthTable) -> QhcGate:
     return QhcGate(cycle=cycle_spectrum(orbit, table.dim), input_count=table.input_count)
 
 
-@dataclass(frozen=True)
-class RowCheck:
+class RowCheck(NamedTuple):
     """Outcome of checking one truth-table row against the gate."""
 
     inputs: tuple[int, ...]
@@ -290,21 +308,19 @@ class RowCheck:
 
 
 class RowChecks(Sequence):
-    """A report's row checks in counting order, each built when it is read.
+    """A report's row checks in counting order, each built from its table row when it is read.
 
     ``obtained[w]`` is the label the gate gives at input weight ``w``; a row
     deviates by 1.0 when its label is another, else by 0.0.  Indexing takes
     negative positions, and a slice returns a tuple.
     """
 
-    def __init__(self, table: TruthTable, obtained: Sequence[str]) -> None:
-        self._input_count = table.input_count
-        self._label_indices = table.label_indices
-        self._profile = table.labels_by_weight
+    def __init__(self, rows: TableRows, obtained: Sequence[str]) -> None:
+        self._rows = rows
         self._obtained = obtained
 
     def __len__(self) -> int:
-        return len(self._label_indices)
+        return len(self._rows)
 
     def _check(self, bits: tuple[int, ...], expected: str) -> RowCheck:
         obtained = self._obtained[sum(bits)]
@@ -313,14 +329,10 @@ class RowChecks(Sequence):
     def __getitem__(self, index):
         if isinstance(index, slice):
             return tuple(self[position] for position in range(len(self))[index])
-        position = range(len(self))[index]
-        bits = tuple(map(int, index_to_label(position, self._input_count)))
-        (expected,) = row_labels(self._label_indices[position : position + 1], self._profile)
-        return self._check(bits, expected)
+        return self._check(*self._rows.row(index))
 
     def __iter__(self) -> Iterator[RowCheck]:
-        rows = itertools.product((0, 1), repeat=self._input_count)
-        return map(self._check, rows, row_labels(self._label_indices, self._profile))
+        return itertools.starmap(self._check, self._rows.walk())
 
     def __eq__(self, other: object) -> bool:
         return tuple(self) == (tuple(other) if isinstance(other, RowChecks) else other)
@@ -356,7 +368,8 @@ def verify(
     orbit_labels = [index_to_label(index, table.output_qubits) for index in gate.cycle.orbit]
     obtained = [orbit_labels[w % gate.length] for w in range(table.input_count + 1)]
     worst = float(any(labels != {got} for labels, got in zip(table.labels_by_weight, obtained)))
-    return VerificationReport(RowChecks(table, obtained), worst == 0 and worst <= tolerance, worst)
+    rows = RowChecks(table.rows, obtained)
+    return VerificationReport(rows, worst == 0 and worst <= tolerance, worst)
 
 
 def qubit_count(table: TruthTable) -> int:

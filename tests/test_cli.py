@@ -278,6 +278,14 @@ def test_malformed_table_exits_2_with_row_diagnostic(tmp_path, capsys):
     assert "01" in err
 
 
+@pytest.mark.parametrize("k", [1, 20])
+def test_a_table_without_rows_exits_2(k, tmp_path, capsys):
+    path = tmp_path / "empty.json"
+    path.write_text(f'{{"inputs": {k}, "output_qubits": 1, "rows": []}}', encoding="utf-8")
+    code, out, err = run_cli(["synth", "--table", str(path)], capsys)
+    assert (code, out, err) == (2, "", f"error: missing input row '{'0' * k}'\n")
+
+
 @pytest.mark.parametrize("value", ["inf", "-inf", "nan", "1e400"])
 def test_refused_unitary_parameter_writes_no_generator_file(value, half_table_file, capsys):
     h_file = Path(half_table_file).with_name("H.json")

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -141,8 +142,11 @@ def test_group_law():
     ],
 )
 def test_bad_orbits_rejected(orbit, dim):
-    with pytest.raises(InvalidOrbit):
+    with pytest.raises(InvalidOrbit) as built:
         cycle_spectrum(orbit, dim)
+    # A spectrum built directly checks its own orbit, with the same message.
+    with pytest.raises(InvalidOrbit, match=f"^{re.escape(str(built.value))}$"):
+        SpectralDecomposition(dim, orbit)
 
 
 def test_non_finite_parameter_rejected():
@@ -176,6 +180,7 @@ def test_spectra_are_plain_values_of_dim_and_orbit():
     spectrum = cycle_spectrum((0, 1, 3), 4)
     assert [field.name for field in dataclasses.fields(spectrum)] == ["dim", "orbit"]
     twins = [cycle_spectrum([0, 1, 3], 4), SpectralDecomposition(4, (0, 1, 3))]
+    twins.append(SpectralDecomposition(4, [0, np.int64(1), 3]))  # held as a tuple of ints
     assert all(twin == spectrum and hash(twin) == hash(spectrum) for twin in twins)
     assert {spectrum, *twins} == {spectrum}
     assert cycle_spectrum((0, 1, 3), 8) not in {spectrum}

@@ -50,6 +50,19 @@ def test_missing_row_names_the_absent_input():
         parse_truth_table(doc)
 
 
+@pytest.mark.parametrize("k", [1, 20])
+@pytest.mark.parametrize("layout", ["one line", "emitted header"])
+def test_a_document_without_rows_misses_its_first_row(k, layout):
+    # At k = 20 the empty key field starts 16 bytes into the reader's 8-byte
+    # pad, so the reader must return before it views that field.
+    if layout == "one line":
+        doc = f'{{"inputs": {k}, "output_qubits": 1, "rows": []}}'
+    else:  # the grid reader matches the header, then leaves the document to the decoder
+        doc = f'{{\n  "inputs": {k},\n  "output_qubits": 1,\n  "rows": [\n\n  ]\n}}\n'
+    with pytest.raises(ValidationError, match=f"^missing input row '{'0' * k}'$"):
+        parse_truth_table(doc)
+
+
 def test_non_bit_output_is_a_parse_error():
     with pytest.raises(ParseError):
         parse_truth_table(HALF_ADDER_DOC.replace('"out": "11"', '"out": "2x"'))

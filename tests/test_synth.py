@@ -3,6 +3,7 @@ import gc
 import itertools
 import json
 import math
+import re
 import tracemalloc
 import weakref
 from fractions import Fraction
@@ -32,6 +33,7 @@ from qhckit.errors import (
     ValidationError,
 )
 from qhckit.linalg import cycle_spectrum, orbit_column
+from qhckit.serialize import emit_truth_table
 from qhckit.synth import (
     VERIFY_TOLERANCE,
     QhcGate,
@@ -158,11 +160,64 @@ def test_a_label_array_of_the_wrong_length_is_refused(length):
 
 
 def test_a_label_array_in_counting_order_is_the_table():
-    labels = np.array([0, 1, 1, 3], np.uint64)
-    table = TruthTable(2, 2, labels)
-    assert table == half_adder_truth_table()
-    assert table.label_indices.dtype == np.uint32 and not table.label_indices.flags.writeable
-    assert labels.flags.writeable  # the caller's array is copied, not frozen
+    for dtype in (np.uint64, np.int8, np.uint16, np.int64):
+        labels = np.array([0, 1, 1, 3], dtype)
+        table = TruthTable(2, 2, labels)
+        assert table == half_adder_truth_table()
+        assert table.label_indices.dtype == np.uint32 and not table.label_indices.flags.writeable
+        assert labels.flags.writeable  # the caller's array is copied, not frozen
+
+
+@pytest.mark.parametrize(
+    "inputs, qubits, rows, match",
+    [
+        (2.0, 1, {}, "input count must be 1 to 64, got 2.0"),
+        ("2", 1, {}, "input count must be 1 to 64, got '2'"),
+        (2, 1.0, {}, "output qubit count must be 1 to 20, got 1.0"),
+        (2, 1, [0, 1, 1, 0], "rows must be a mapping or array, got list"),
+        (2, 1, None, "rows must be a mapping or array, got NoneType"),
+        (2, 1, np.array([0.0, 1.0, 1.0, 0.0]), "labels must be 1-D ints, got 1-D float64"),
+        (2, 1, np.array([True, False, False, True]), "labels must be 1-D ints, got 1-D bool"),
+        (2, 1, np.array([[0, 1], [1, 0]]), "labels must be 1-D ints, got 2-D int64"),
+        (2, 1, np.array([0, 3, 3, 0]), "label indices must be 0 to 1"),
+        (2, 1, np.array([0, 1, 1, -1]), "label indices must be 0 to 1"),
+        (2, 2, np.array([0, 1, 1, 2**32], np.int64), "label indices must be 0 to 3"),
+        (2, 2, np.array([0, 1, 1, -128], np.int8), "label indices must be 0 to 3"),
+    ],
+)
+def test_every_bad_argument_is_a_validation_error(inputs, qubits, rows, match):
+    with pytest.raises(ValidationError, match=f"^{re.escape(match)}$"):
+        TruthTable(inputs, qubits, rows)
+
+
+def test_row_checks_are_plain_named_tuples():
+    report = verify(synthesize(half_adder_truth_table()), half_adder_truth_table())
+    check = report.rows[1]
+    assert check == ((0, 1), "01", "01", 0.0) == RowCheck((0, 1), "01", "01", 0.0)
+    assert RowCheck._fields == ("inputs", "expected", "obtained", "deviation")
+    assert repr(check) == "RowCheck(inputs=(0, 1), expected='01', obtained='01', deviation=0.0)"
+    assert hash(check) == hash(((0, 1), "01", "01", 0.0))
+    assert tuple(report.rows) == tuple(itertools.starmap(RowCheck, report.rows))
+    with pytest.raises(AttributeError):
+        check.deviation = 1.0
+
+
+def test_table_rows_are_the_one_row_source():
+    table = weight_table(("000", "001", "101", "011", "000"), 4)
+    rows = table.rows
+    walked = list(rows.walk())
+    assert [bits for bits, _ in walked] == list(itertools.product((0, 1), repeat=4))
+    assert [rows.row(i) for i in range(-16, 16)] == walked + walked
+    assert list(rows.labels()) == [label for _, label in walked]
+    for outside in (16, -17):
+        with pytest.raises(IndexError):
+            rows.row(outside)
+    # Report rows, positional reads and the writer never build the dict behind the mapping.
+    report = verify(synthesize(table), table)
+    assert tuple(report.rows) == tuple(report.rows[i] for i in range(16))
+    emit_truth_table(table)
+    assert "_rows" not in vars(rows)
+    assert list(rows.items()) == walked and "_rows" in vars(rows)
 
 
 def test_analyze_symmetry_on_half_adder():
