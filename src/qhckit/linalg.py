@@ -40,16 +40,21 @@ class SpectralDecomposition:
     ``orbit[m]`` is ``exp(-2*pi*i*j*m/L) / sqrt(L)`` and which is zero off
     the orbit.  Every basis state off the orbit is an eigenvector with angle
     exactly 0.  The L on-orbit angles are derived from L, not stored (read-only,
-    shared by every L-cycle), so a spectrum is a plain hashable value.  An
-    orbit other than 1 to ``MAX_ORBIT`` distinct integers in [0, dim) is ``InvalidOrbit``.
+    shared by every L-cycle), so a spectrum is a plain hashable value.  A
+    dimension that is not a positive integer, or an orbit other than 1 to
+    ``MAX_ORBIT`` distinct integers in [0, dim), is ``InvalidOrbit``.
     """
 
     dim: int
     orbit: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if self.dim < 1:
-            raise InvalidOrbit(f"dimension must be positive, got {self.dim}")
+        try:
+            dim = operator.index(self.dim)
+        except TypeError as exc:
+            raise InvalidOrbit(f"dimension must be an integer: {exc}") from None
+        if dim < 1:
+            raise InvalidOrbit(f"dimension must be positive, got {dim}")
         if not 1 <= len(self.orbit) <= MAX_ORBIT:
             raise InvalidOrbit(f"orbit must hold 1 to {MAX_ORBIT} states, got {len(self.orbit)}")
         try:
@@ -58,9 +63,10 @@ class SpectralDecomposition:
             raise InvalidOrbit(f"orbit indices must be integers: {exc}") from None
         if len(set(orbit)) != len(orbit):
             raise InvalidOrbit(f"orbit {orbit} repeats an index")
-        out_of_range = [i for i in orbit if not 0 <= i < self.dim]
+        out_of_range = [i for i in orbit if not 0 <= i < dim]
         if out_of_range:
-            raise InvalidOrbit(f"orbit indices {out_of_range} outside [0, {self.dim})")
+            raise InvalidOrbit(f"orbit indices {out_of_range} outside [0, {dim})")
+        object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "orbit", orbit)
 
     @property

@@ -17,7 +17,6 @@ from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 from functools import cache, cached_property
 from numbers import Integral
-from typing import NamedTuple
 
 import numpy as np
 
@@ -63,9 +62,9 @@ def index_to_label(index: int, bits: int) -> str:
 
 def check_sizes(k: int, n: int) -> None:
     """Refuse an input count ``k`` or output qubit count ``n`` unless an integer within its cap."""
-    if not (isinstance(k, Integral) and 1 <= k <= MAX_INPUTS):
+    if not (_is_integral(type(k)) and 1 <= k <= MAX_INPUTS):
         raise ValidationError(f"input count must be 1 to {MAX_INPUTS}, got {k!r}")
-    if not (isinstance(n, Integral) and 1 <= n <= MAX_OUTPUT_QUBITS):
+    if not (_is_integral(type(n)) and 1 <= n <= MAX_OUTPUT_QUBITS):
         raise ValidationError(f"output qubit count must be 1 to {MAX_OUTPUT_QUBITS}, got {n!r}")
 
 
@@ -118,14 +117,14 @@ def _is_integral(kind: type) -> bool:
 class TableRows(Mapping):
     """A table's rows, read-only: input bits to output label, in counting order.
 
-    The one source of rows: ``walk`` and ``row`` read the label indices, each
-    label ``text``'s string for it; the mapping's dict is built when first read.
+    The one source of rows: ``walk`` and ``row`` read the label indices; the
+    label strings and the mapping's dict are built when first read.
     """
 
-    def __init__(self, input_count: int, label_indices: np.ndarray, text: dict[int, str]) -> None:
+    def __init__(self, input_count: int, label_indices: np.ndarray, profile: Profile) -> None:
         self._input_count = input_count
         self._label_indices = label_indices
-        self._text = text
+        self._profile = profile
 
     def __len__(self) -> int:
         return len(self._label_indices)
@@ -143,6 +142,10 @@ class TableRows(Mapping):
         position = range(len(self))[position]
         bits = tuple(map(int, index_to_label(position, self._input_count)))
         return bits, self._text[int(self._label_indices[position])]
+
+    @cached_property
+    def _text(self) -> dict[int, str]:
+        return {label_to_index(label): label for labels in self._profile for label in labels}
 
     @cached_property
     def _rows(self) -> dict[tuple[int, ...], str]:
@@ -205,13 +208,11 @@ class TruthTable:
         weights = np.bitwise_count(np.arange(len(labels), dtype=np.uint64)).astype(np.uint32)
         pairs = np.sort(weights << n | label_indices)
         by_weight: list[set[str]] = [set() for _ in range(k + 1)]
-        text: dict[int, str] = {}  # one string per distinct label, for the profile and the rows
         for pair in pairs[np.append(True, pairs[1:] != pairs[:-1])].tolist():
-            index = pair & (2**n - 1)
-            by_weight[pair >> n].add(text.setdefault(index, index_to_label(index, n)))
+            by_weight[pair >> n].add(index_to_label(pair & (2**n - 1), n))
         object.__setattr__(self, "label_indices", label_indices)
         object.__setattr__(self, "labels_by_weight", tuple(map(frozenset, by_weight)))
-        object.__setattr__(self, "rows", TableRows(k, label_indices, text))
+        object.__setattr__(self, "rows", TableRows(k, label_indices, self.labels_by_weight))
 
     @property
     def dim(self) -> int:
@@ -298,7 +299,8 @@ def synthesize(table: TruthTable) -> QhcGate:
     return QhcGate(cycle=cycle_spectrum(orbit, table.dim), input_count=table.input_count)
 
 
-class RowCheck(NamedTuple):
+@dataclass(frozen=True, slots=True)
+class RowCheck:
     """Outcome of checking one truth-table row against the gate."""
 
     inputs: tuple[int, ...]
@@ -315,8 +317,8 @@ class RowChecks(Sequence):
     negative positions, and a slice returns a tuple.
     """
 
-    def __init__(self, rows: TableRows, obtained: Sequence[str]) -> None:
-        self._rows = rows
+    def __init__(self, table: TruthTable, obtained: Sequence[str]) -> None:
+        self._rows = table.rows
         self._obtained = obtained
 
     def __len__(self) -> int:
@@ -368,8 +370,7 @@ def verify(
     orbit_labels = [index_to_label(index, table.output_qubits) for index in gate.cycle.orbit]
     obtained = [orbit_labels[w % gate.length] for w in range(table.input_count + 1)]
     worst = float(any(labels != {got} for labels, got in zip(table.labels_by_weight, obtained)))
-    rows = RowChecks(table.rows, obtained)
-    return VerificationReport(rows, worst == 0 and worst <= tolerance, worst)
+    return VerificationReport(RowChecks(table, obtained), worst == 0 and worst <= tolerance, worst)
 
 
 def qubit_count(table: TruthTable) -> int:

@@ -139,6 +139,10 @@ def test_group_law():
         ((0, 1.5, 3.9), 4),
         (("0", "1"), 4),
         ((0, math.nan), 4),
+        # So must the dimension; True is read as 1.
+        ((0, 1), 4.5),
+        ((0, 1), "4"),
+        ((0, 1), True),
     ],
 )
 def test_bad_orbits_rejected(orbit, dim):
