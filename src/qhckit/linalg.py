@@ -8,6 +8,7 @@ therefore the identity (or zero) off the orbit and a circulant on it: one
 orbit column, one product with a DFT matrix, fixes ``U(s) = exp(-i s H)``,
 and the dense ``U(s)`` and ``H`` are scattered from such columns.  Angles
 and DFT matrices are cached for each orbit length a synthesized gate can have.
+A readout needs only the column's squared moduli: a phase-free closed form.
 
 Everything here is a pure function over immutable values; results can be
 shared across threads freely.
@@ -117,6 +118,17 @@ def _dft_matrix(length: int) -> np.ndarray:
     return matrix
 
 
+def _reduced(s: float, length: int) -> float:
+    """``s`` as a finite float reduced into (-L, L): exact, as fmod is, and U has period L."""
+    try:
+        s = float(s)
+    except (OverflowError, TypeError, ValueError) as exc:  # 10**400, None, "abc", 1j, ...
+        raise InvalidParameter(f"evolution parameter must be a finite real number: {exc}") from None
+    if not math.isfinite(s):
+        raise InvalidParameter(f"evolution parameter must be finite, got {s}")
+    return math.fmod(s, length)
+
+
 def orbit_column(spectrum: SpectralDecomposition, s: float) -> np.ndarray:
     """Column ``orbit[0]`` of ``U(s)`` at orbit positions 0..L-1.
 
@@ -124,21 +136,32 @@ def orbit_column(spectrum: SpectralDecomposition, s: float) -> np.ndarray:
     ``orbit[a]`` with amplitude ``column[(a - b) mod L]``.  At integer ``s``
     it is exactly the one-hot column of the permutation power ``P^s``.
     """
-    try:
-        s = float(s)
-    except OverflowError:
-        raise InvalidParameter("evolution parameter is too large for a float") from None
-    if not math.isfinite(s):
-        raise InvalidParameter(f"evolution parameter must be finite, got {s}")
     length = len(spectrum.orbit)
-    # L * angles[j] is a multiple of 2*pi, so U has period L.  fmod is exact,
-    # so the reduction keeps the phases accurate however large s is.
-    s = math.fmod(s, length)
+    s = _reduced(s, length)
     if s.is_integer():
         column = np.zeros(length, dtype=complex)
         column[int(s) % length] = 1.0
         return column
     return _dft_matrix(length) @ np.exp(1j * s * spectrum.angles) / length
+
+
+def orbit_probabilities(spectrum: SpectralDecomposition, s: float) -> list[float]:
+    """``|orbit_column(spectrum, s)|**2``: at ``x = s - a``, entry ``a`` is the squared
+    periodic Dirichlet kernel ``(sin(pi x) / (L sin(pi x / L)))**2``.
+
+    ``s = n + r`` is split exactly at the nearest integer, so each sine argument
+    lies in one period and no error grows with ``s``.  Below ``|r| = 1e-150`` the
+    result is one-hot: the peak rounds to 1.0 and the rest are below 1e-299.
+    """
+    length = len(spectrum.orbit)
+    s = _reduced(s, length)
+    n = round(s)
+    r = s - n
+    if abs(r) < 1e-150:
+        return [float(a == n % length) for a in range(length)]
+    # The ratio is squared last, so no entry underflows before it is formed.
+    top, step = math.sin(math.pi * r) / length, math.pi / length
+    return [(top / math.sin(step * ((n - a) % length + r))) ** 2 for a in range(length)]
 
 
 def _require_dense(spectrum: SpectralDecomposition) -> None:

@@ -7,8 +7,9 @@ continuous inputs the full probability list is reported instead and no
 readout convention is imposed.
 
 The readout works on a state's support: a gate's output lies on its orbit,
-so the norm check and the label read only the L orbit amplitudes, and the
-d-entry probability list is built the first time it is read.
+so the norm check and the label read only the L orbit probabilities, read
+from the orbit's closed-form kernel with no amplitude formed, and the d-entry
+probability list is built the first time it is read.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DimensionError, InvalidParameter, NonUnitaryError
-from .linalg import orbit_column, unitarity_defect
+from .linalg import orbit_probabilities, unitarity_defect
 from .synth import QhcGate, index_to_label
 
 # Matrices applied to states must be unitary to this entrywise defect.
@@ -68,7 +69,7 @@ class DecodedOutcome:
 
     @classmethod
     def _on_support(
-        cls, label: str | None, dim: int, support: Sequence[int], probabilities: np.ndarray
+        cls, label: str | None, dim: int, support: Sequence[int], probabilities: Sequence[float]
     ) -> DecodedOutcome:
         """An outcome whose ``probabilities`` are ``probabilities`` on ``support``, 0 elsewhere."""
         outcome = cls.__new__(cls)
@@ -89,15 +90,13 @@ class DecodedOutcome:
 
 
 def _read_out(
-    dim: int, support: Sequence[int], amplitudes: np.ndarray, tolerance: float
+    dim: int, support: Sequence[int], probabilities: Sequence[float], total: float, top: int,
+    tolerance: float,
 ) -> DecodedOutcome:
-    """Decode a d-entry state given by its amplitudes on ``support``; it is zero elsewhere."""
-    probabilities = np.abs(amplitudes) ** 2
-    total = float(probabilities.sum())
+    """Decode a d-entry state from its probabilities on ``support``, their sum and argmax."""
     # Written with `not <=` so a NaN norm is also rejected.
     if not abs(total - 1.0) <= NORM_TOLERANCE:
         raise InvalidParameter(f"state is not normalized: |psi|^2 = {total}")
-    top = int(probabilities.argmax())
     label = None
     if probabilities[top] >= 1.0 - tolerance:
         label = index_to_label(int(support[top]), (dim - 1).bit_length())
@@ -116,10 +115,11 @@ def decode(state: np.ndarray, tolerance: float = BASIS_TOLERANCE) -> DecodedOutc
     size = state.shape[0]
     if size < 2 or 2 ** (size - 1).bit_length() != size:
         raise DimensionError(f"state length {size} is not a power of two")
-    # A huge finite amplitude squares to inf, which the norm check rejects.  A
-    # gate's orbit column has no entry above 1, so evaluate_continuous needs no guard.
+    # A huge finite amplitude squares to inf, which the norm check rejects.
     with np.errstate(over="ignore"):
-        return _read_out(size, np.arange(size), state, tolerance)
+        probabilities = np.abs(state) ** 2
+        total, top = float(probabilities.sum()), int(probabilities.argmax())
+    return _read_out(size, np.arange(size), probabilities, total, top, tolerance)
 
 
 def evaluate_continuous(
@@ -136,14 +136,14 @@ def evaluate_continuous(
     """
     try:
         values = [float(x) for x in inputs]
-    except OverflowError:
-        raise InvalidParameter("inputs must be finite; one is too large for a float") from None
+    except (OverflowError, TypeError, ValueError) as exc:  # 10**400, None, "abc", 1j, ...
+        raise InvalidParameter(f"inputs must be finite real numbers: {exc}") from None
     if len(values) != gate.input_count:
         raise InvalidParameter(f"gate takes {gate.input_count} inputs, got {len(values)}")
     if not all(math.isfinite(x) for x in values):
         raise InvalidParameter(f"inputs must be finite, got {values}")
-    column = orbit_column(gate.cycle, input_sum(values))
-    return _read_out(gate.dim, gate.cycle.orbit, column, tolerance)
+    p = orbit_probabilities(gate.cycle, input_sum(values))
+    return _read_out(gate.dim, gate.cycle.orbit, p, math.fsum(p), p.index(max(p)), tolerance)
 
 
 def input_sum(values: Sequence[float]) -> float:

@@ -2,6 +2,7 @@ import dataclasses
 import math
 import re
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -19,8 +20,10 @@ from qhckit.linalg import (
     exp_from_spectrum,
     hermitian_generator,
     orbit_column,
+    orbit_probabilities,
     unitarity_defect,
 )
+from qhckit.sim import NORM_TOLERANCE
 from qhckit.synth import MAX_INPUTS
 
 from oracles import orbit_column_fft, orbit_permutation
@@ -161,6 +164,18 @@ def test_non_finite_parameter_rejected():
         exp_from_spectrum(spectrum, math.inf)
 
 
+@pytest.mark.parametrize("s", [None, "abc", 1j, [0.5], math.nan, -math.inf, 10**400])
+def test_parameters_that_are_not_finite_reals_are_invalid(s):
+    spectrum = cycle_spectrum((0, 1, 3), 4)
+    for read in (orbit_column, orbit_probabilities):
+        with pytest.raises(InvalidParameter, match="evolution parameter"):
+            read(spectrum, s)
+    # Whatever float() reads is still a parameter.
+    for s in ("0.5", np.float64(0.5), Fraction(1, 2), True):
+        assert orbit_probabilities(spectrum, s) == orbit_probabilities(spectrum, float(s))
+        assert np.array_equal(orbit_column(spectrum, s), orbit_column(spectrum, float(s)))
+
+
 @settings(max_examples=400, deadline=None)
 @given(
     case=st.sampled_from([((0, 1, 3), 4), ((0, 1, 2, 3), 4), ((2, 0, 5, 1), 8), ((1,), 2)]),
@@ -218,6 +233,28 @@ def test_dft_columns_match_an_fft_reference():
     assert np.array_equal(hermitian_generator(cycle_spectrum((0, 1), 2)), two_cycle)
 
 
+def test_orbit_probabilities_match_an_fft_reference():
+    # n +- 0.5 are the midpoints between peaks; below |r| = 1e-150 the kernel
+    # answers one-hot, and 5e-324 would otherwise divide 0 by 0.
+    tiny = [5e-324, 1e-300, math.nextafter(1e-150, 0.0)]
+    for length in range(1, 66):
+        spectrum = cycle_spectrum(tuple(range(length)), 128)
+        one_hot = [1.0] + [0.0] * (length - 1)
+        halves = [n + h for n in (0, 1, 3, length - 1, length) for h in (-0.5, 0.5)]
+        for s in [
+            *(0.5, -2.37, 0.75 + 3e5, length - 1e-9, 1e-7, 2.0**53 - 0.5, 2.0**52 - 0.5),
+            *(1e15 + 0.25, math.nextafter(1e-150, 1.0), -1e-150, *halves, *tiny),
+            *(-x for x in tiny),
+        ]:
+            probabilities = orbit_probabilities(spectrum, s)
+            assert all(type(p) is float for p in probabilities), (length, s)
+            reference = np.abs(orbit_column_fft(spectrum.angles, s)) ** 2
+            assert np.max(np.abs(np.array(probabilities) - reference)) < 1e-12, (length, s)
+            assert abs(math.fsum(probabilities) - 1.0) <= NORM_TOLERANCE, (length, s)
+            if abs(s) in tiny:
+                assert probabilities == one_hot, (length, s)
+
+
 def test_cached_angles_are_the_formula_bit_for_bit():
     for length in range(1, MAX_ORBIT + 1):
         modes = np.arange(length)
@@ -236,6 +273,7 @@ def test_integer_parameters_give_exact_one_hot_columns():
             expected = np.zeros(length, dtype=complex)
             expected[int(s) % length] = 1.0
             assert np.array_equal(orbit_column(spectrum, s), expected), (length, s)
+            assert orbit_probabilities(spectrum, s) == expected.real.tolist(), (length, s)
 
 
 def test_long_orbits_build_no_quadratic_arrays():

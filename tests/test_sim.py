@@ -123,6 +123,11 @@ def test_evaluate_validates_inputs():
         evaluate_continuous(gate, (1.0,))
     with pytest.raises(InvalidParameter):
         evaluate_continuous(gate, (1.0, math.nan))
+    # Not real numbers, or not a sequence of them.
+    for inputs in (["a", 0], 0.5, [1j, 0], [None, 0]):
+        with pytest.raises(InvalidParameter, match="real numbers"):
+            evaluate_continuous(gate, inputs)
+    assert evaluate_continuous(gate, ["0.5", 0.25]) == evaluate_continuous(gate, [0.5, 0.25])
 
 
 def test_parameters_too_large_for_a_float_are_invalid():
