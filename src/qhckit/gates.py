@@ -38,12 +38,6 @@ class GateKind(enum.Enum):
     FULL_ADDER = "full-adder"
 
 
-def _require_finite(**named: float) -> None:
-    for name, value in named.items():
-        if not math.isfinite(value):
-            raise InvalidParameter(f"{name} must be finite, got {value}")
-
-
 def half_adder_closed_form(alpha: float, beta: float) -> np.ndarray:
     """Half-adder unitary on two qubits, evaluated from its explicit formula.
 
@@ -53,7 +47,6 @@ def half_adder_closed_form(alpha: float, beta: float) -> np.ndarray:
     is the diagonal amplitude, and forward and backward hops between cycled
     states differ by the antisymmetric ``circulation``.
     """
-    _require_finite(alpha=alpha, beta=beta)
     theta = 2.0 * math.pi * math.fmod(input_sum((alpha, beta)), 3.0) / 3.0
     stay = (2.0 * math.cos(theta) + 1.0) / 3.0
     exchange = (1.0 - math.cos(theta)) / 3.0
@@ -79,7 +72,6 @@ def full_adder_closed_form(alpha: float, gamma: float, beta: float) -> np.ndarra
     advances the all-zero state along 00 -> 01 -> 10 -> 11 -> 00, one step
     per asserted input.
     """
-    _require_finite(alpha=alpha, gamma=gamma, beta=beta)
     s = math.fmod(input_sum((alpha, gamma, beta)), 4.0)
     phase = complex(math.cos(math.pi * s), math.sin(math.pi * s))
     cos_half = math.cos(math.pi * s / 2.0)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -67,16 +67,6 @@ class DecodedOutcome:
     def is_basis(self) -> bool:
         return self.label is not None
 
-    @classmethod
-    def _on_support(
-        cls, label: str | None, dim: int, support: Sequence[int], probabilities: Sequence[float]
-    ) -> DecodedOutcome:
-        """An outcome whose ``probabilities`` are ``probabilities`` on ``support``, 0 elsewhere."""
-        outcome = cls.__new__(cls)
-        object.__setattr__(outcome, "label", label)
-        object.__setattr__(outcome, "_support", (dim, support, probabilities))
-        return outcome
-
     def __getattr__(self, name: str) -> tuple[float, ...]:
         # Reached only while ``probabilities`` is unset: spread the support's
         # probabilities over all d basis states, once.
@@ -100,7 +90,9 @@ def _read_out(
     label = None
     if probabilities[top] >= 1.0 - tolerance:
         label = index_to_label(int(support[top]), (dim - 1).bit_length())
-    return DecodedOutcome._on_support(label, dim, support, probabilities)
+    outcome = DecodedOutcome.__new__(DecodedOutcome)
+    vars(outcome).update(label=label, _support=(dim, support, probabilities))
+    return outcome
 
 
 def decode(state: np.ndarray, tolerance: float = BASIS_TOLERANCE) -> DecodedOutcome:
@@ -123,36 +115,46 @@ def decode(state: np.ndarray, tolerance: float = BASIS_TOLERANCE) -> DecodedOutc
 
 
 def evaluate_continuous(
-    gate: QhcGate, inputs: Sequence[float], tolerance: float = BASIS_TOLERANCE
+    gate: QhcGate, inputs: Iterable[float], tolerance: float = BASIS_TOLERANCE
 ) -> DecodedOutcome:
     """Drive a gate with real-valued inputs and decode the result.
 
     The gate sees its inputs only through their sum, which becomes the
-    evolution parameter applied to the all-zeros state; ``input_sum`` rounds
-    it correctly, so it does not depend on the inputs' order.  Boolean inputs
-    reproduce the synthesized truth table as sharp basis outcomes; anything
-    else generally lands in a superposition.  The state is read on the
-    gate's orbit, where all its amplitude lies.
+    evolution parameter applied to the all-zeros state; ``input_sum`` reads
+    the inputs and rounds their sum correctly, so it does not depend on their
+    order.  Boolean inputs reproduce the synthesized truth table as sharp basis
+    outcomes; anything else generally lands in a superposition.  The state is
+    read on the gate's orbit, where all its amplitude lies.
     """
     try:
-        values = [float(x) for x in inputs]
-    except (OverflowError, TypeError, ValueError) as exc:  # 10**400, None, "abc", 1j, ...
-        raise InvalidParameter(f"inputs must be finite real numbers: {exc}") from None
-    if len(values) != gate.input_count:
-        raise InvalidParameter(f"gate takes {gate.input_count} inputs, got {len(values)}")
-    if not all(math.isfinite(x) for x in values):
-        raise InvalidParameter(f"inputs must be finite, got {values}")
-    p = orbit_probabilities(gate.cycle, input_sum(values))
+        inputs = list(inputs)  # a generator is read once, then counted
+    except TypeError:  # not iterable: input_sum refuses it
+        pass
+    p = orbit_probabilities(gate.cycle, input_sum(inputs))
+    if len(inputs) != gate.input_count:
+        raise InvalidParameter(f"gate takes {gate.input_count} inputs, got {len(inputs)}")
     return _read_out(gate.dim, gate.cycle.orbit, p, math.fsum(p), p.index(max(p)), tolerance)
 
 
-def input_sum(values: Sequence[float]) -> float:
-    """The correctly rounded sum of finite floats, in any order; refused if it overflows."""
+def input_sum(inputs: Iterable[float]) -> float:
+    """The correctly rounded sum of real inputs, in any order: the package's one reader of them.
+
+    Each input is read with ``float()``; anything it refuses, a non-finite
+    input and an exact sum outside the float range are ``InvalidParameter``.
+    """
     try:
-        return math.fsum(values)
-    except OverflowError:  # a partial sum overflowed: add exactly instead
-        from fractions import Fraction  # imported only here: it takes 4 ms to import
+        values = list(map(float, inputs))
+    except (OverflowError, TypeError, ValueError) as exc:  # 10**400, None, "abc", 1j, ...
+        raise InvalidParameter(f"inputs must be finite real numbers: {exc}") from None
     try:
+        if math.isfinite(total := math.fsum(values)):
+            return total
+    except (OverflowError, ValueError):  # a running sum overflowed, or inf met -inf
+        pass
+    if not all(map(math.isfinite, values)):
+        raise InvalidParameter(f"inputs must be finite, got {values}")
+    from fractions import Fraction  # imported only here: it takes 4 ms to import
+    try:  # the inputs are finite, so a running sum overflowed: add exactly instead
         return float(sum(map(Fraction, values)))
     except OverflowError:
         raise InvalidParameter("the sum of the inputs overflows a float") from None
