@@ -5,9 +5,10 @@ Boolean inputs and a full adder driven by three.  ``BUILTINS`` holds
 everything the package states about each one: its output label per input
 weight, which fixes the truth table, and its closed-form 4x4 matrix as a
 function of the input sum.  Both gates depend on their inputs only through
-the sum, so the formulas accept arbitrary real parameters and interpolate
-smoothly between the Boolean points; the sum is reduced modulo the period
-(3 or 4) before any trigonometry, so every finite sum keeps full accuracy.
+the sum, which ``sim.input_sum`` reads and checks, so the formulas accept
+arbitrary finite real parameters and interpolate smoothly between the
+Boolean points; the sum is reduced modulo the period (3 or 4) before any
+trigonometry, so every finite sum keeps full accuracy.
 
 The same gates arise a second way, by synthesizing each truth table.
 ``cross_validate`` compares the closed form with the synthesized gate on a
@@ -21,6 +22,7 @@ import enum
 import itertools
 import math
 from dataclasses import dataclass
+from numbers import Integral
 from typing import Callable
 
 import numpy as np
@@ -142,8 +144,10 @@ def cross_validate(kind: GateKind, grid_points: int) -> float:
     compares the explicit matrix formula against the gate synthesized from
     the truth table.  Agreement within 1e-9 is the acceptance bar.
     """
-    if grid_points < 2:
-        raise InvalidParameter(f"grid needs at least 2 points, got {grid_points}")
+    if not isinstance(kind, GateKind):
+        raise InvalidParameter(f"unknown gate kind {kind!r}")
+    if not (isinstance(grid_points, Integral) and grid_points >= 2):
+        raise InvalidParameter(f"grid needs an integer count of at least 2, got {grid_points!r}")
     builtin = BUILTINS[kind]
     gate = synthesize(builtin.truth_table())
     worst = 0.0

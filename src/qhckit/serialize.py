@@ -242,7 +242,10 @@ def _csv_cell(re: float, im: float) -> str:
 
 
 def _checked_matrix(matrix: np.ndarray) -> np.ndarray:
-    matrix = np.asarray(matrix, dtype=complex)
+    try:
+        matrix = np.asarray(matrix, dtype=complex)
+    except (TypeError, ValueError) as exc:  # [["a"]], ragged rows, ...
+        raise InvalidParameter(f"matrix entries must be complex numbers: {exc}") from None
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise InvalidParameter(f"matrix must be square, got shape {matrix.shape}")
     if not np.all(np.isfinite(matrix)):

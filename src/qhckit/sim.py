@@ -4,7 +4,8 @@ Measurement is modeled deterministically through exact probabilities.  The
 gates this package produces send Boolean inputs to basis states outright,
 so sampling shots would only blur an answer that is already exact; for
 continuous inputs the full probability list is reported instead and no
-readout convention is imposed.
+readout convention is imposed.  ``input_sum`` reads every real input a gate
+is driven with, here and in the closed forms, and refuses the bad ones.
 
 The readout works on a state's support: a gate's output lies on its orbit,
 so the norm check and the label read only the L orbit probabilities, read
@@ -101,7 +102,10 @@ def decode(state: np.ndarray, tolerance: float = BASIS_TOLERANCE) -> DecodedOutc
     Returns a basis label when a single probability is at least
     ``1 - tolerance``; otherwise only the probability list is filled in.
     """
-    state = np.asarray(state, dtype=complex)
+    try:
+        state = np.asarray(state, dtype=complex)
+    except (TypeError, ValueError) as exc:  # ["a", "b"], ragged rows, ...
+        raise InvalidParameter(f"state amplitudes must be complex numbers: {exc}") from None
     if state.ndim != 1:
         raise DimensionError(f"state must be a vector, got shape {state.shape}")
     size = state.shape[0]

@@ -280,10 +280,9 @@ def find_cycle(weight_outputs: tuple[str, ...] | None) -> tuple[int, ...]:
     if weight_outputs is None:
         raise NotSymmetric("outputs differ within an input-weight class")
     targets = [label_to_index(label) for label in weight_outputs]
-    if targets[0] != 0:
-        raise InitialStateMismatch(
-            f"weight-0 output must be the all-zero state, got '{weight_outputs[0]}'"
-        )
+    if targets[:1] != [0]:  # () has no weight-0 output at all
+        first = weight_outputs[0] if weight_outputs else None
+        raise InitialStateMismatch(f"weight-0 output must be the all-zero state, got {first!r}")
     length = next((w for w in range(1, len(targets)) if targets[w] == 0), len(targets))
     orbit = targets[:length]
     if len(set(orbit)) != length or any(t != orbit[w % length] for w, t in enumerate(targets)):

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from qhckit import evaluate_continuous, full_adder_truth_table, half_adder_truth_table, synthesize
 from qhckit.errors import DimensionError, InvalidParameter, NonUnitaryError
-from qhckit.gates import half_adder_closed_form
+from qhckit.gates import full_adder_closed_form, half_adder_closed_form
 from qhckit.sim import DecodedOutcome, apply, decode, input_sum
 from qhckit.synth import index_to_label
 
@@ -150,6 +150,55 @@ def test_input_sum_is_exact_whatever_the_order():
             assert input_sum(order) == want
     with pytest.raises(InvalidParameter, match="overflows"):
         input_sum([1e308, 1e308])
+
+
+# Every reader of real gate inputs, each given up to three of them (the half
+# adder two) with zeros for the rest; the first two also read a generator.
+FULL_ADDER = synthesize(full_adder_truth_table())
+READERS = {
+    "input_sum": (3, input_sum),
+    "evaluate_continuous": (3, lambda xs: evaluate_continuous(FULL_ADDER, xs)),
+    "input_sum-generator": (3, lambda xs: input_sum(x for x in xs)),
+    "evaluate_continuous-generator": (
+        3, lambda xs: evaluate_continuous(FULL_ADDER, (x for x in xs))
+    ),
+    "half_adder_closed_form": (2, lambda xs: half_adder_closed_form(*xs)),
+    "full_adder_closed_form": (3, lambda xs: full_adder_closed_form(*xs)),
+}
+REFUSED = [
+    (None,), ("abc",), (1j,), (10**400,), (math.inf,), (-math.inf,), (math.nan,),
+    (math.inf, -math.inf),
+    (1e308, 1e308, -math.inf),  # non-finite, though a running sum overflows first
+]
+# Accepted forms, each with the plain floats it must read as.
+ACCEPTED = [
+    (("0.5", "0.25"), (0.5, 0.25)),
+    ((Fraction(1, 2), Fraction(1, 4)), (0.5, 0.25)),
+    ((np.float64(0.5), 0.25), (0.5, 0.25)),
+    ((True, 0.25), (1.0, 0.25)),
+    ((1e308, 1e308, -1e308), (1e308, 1e308, -1e308)),
+]
+
+
+@pytest.mark.parametrize(
+    "reader, inputs, plain",
+    [
+        (name, inputs, plain)
+        for name, (count, _) in READERS.items()
+        for inputs, plain in [*((bad, None) for bad in REFUSED), *ACCEPTED]
+        if len(inputs) <= count
+    ],
+)
+def test_every_reader_reads_real_inputs_through_input_sum(reader, inputs, plain):
+    count, read = READERS[reader]
+    if plain is None:
+        # Named as a bad input, not as an overflowing sum, even where a running sum overflows.
+        with pytest.raises(InvalidParameter, match="must be finite"):
+            read((*inputs, *[0] * (count - len(inputs))))
+        return
+    got = read((*inputs, *[0] * (count - len(inputs))))
+    want = read((*plain, *[0.0] * (count - len(plain))))
+    assert np.array_equal(got, want) if reader.endswith("closed_form") else got == want
 
 
 def _near_integer_sum(input_count):
