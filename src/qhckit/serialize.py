@@ -20,11 +20,10 @@ walk checks its rows in document order, naming every fault, and the same word
 reader reads their joined bits.  Both hand TruthTable labels in counting order.
 
 Matrices are written, never read, as {"dim": d, "entries": [[{"re": x,
-"im": y}, ...], ...]} in row-major order.  Real and imaginary parts are
-shortest round-trip decimals, so any JSON reader that parses them as
-doubles (json.loads does) gets every entry back bit-exactly.  The CSV
-variant writes one row per line with "a+bi" cells and is meant for
-spreadsheets, not round-tripping.
+"im": y}, ...], ...]} in row-major order, or as CSV: one row per line of
+"a+bi" cells, for spreadsheets.  Parts are shortest round-trip decimals, so
+json.loads gets every entry back bit-exactly.  One walk serves every layout:
+it formats only the cells with a bit set, and the rest share one zero cell.
 
 A malformed truth-table document raises ParseError; a structurally sound
 one whose rows break the truth-table invariants raises ValidationError.
@@ -38,7 +37,7 @@ import json
 import re
 from collections.abc import Iterator
 from functools import lru_cache
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 
@@ -230,10 +229,7 @@ def emit_truth_table(table: TruthTable) -> str:
 
 
 def _real_text(value: float) -> str:
-    if value == 0.0:
-        return "0"
-    text = repr(float(value))
-    return text[:-2] if text.endswith(".0") else text
+    return "0" if value == 0.0 else repr(value).removesuffix(".0")
 
 
 def _csv_cell(re: float, im: float) -> str:
@@ -253,35 +249,35 @@ def _checked_matrix(matrix: np.ndarray) -> np.ndarray:
     return matrix
 
 
-def _cell_rows(matrix: np.ndarray) -> Iterator[list[dict[str, float]]]:
-    """Each row's cells as {"re": x, "im": y} objects, built one row at a time."""
+def _matrix_rows(matrix: np.ndarray, cell: Callable[..., Any]) -> Iterator[list[Any]]:
+    """Each row's cells: ``cell(re=x, im=y)`` where a part has a bit set, else one shared zero."""
+    zero = cell(re=0.0, im=0.0)
     for re_row, im_row in zip(matrix.real, matrix.imag):
-        yield [{"re": re, "im": im} for re, im in zip(re_row.tolist(), im_row.tolist())]
+        cells = [zero] * len(re_row)
+        # Bits, not values: a -0.0 part is set, so it is written as -0.0.
+        at = np.flatnonzero(re_row.view(np.int64) | im_row.view(np.int64))
+        for j, re, im in zip(at.tolist(), re_row[at].tolist(), im_row[at].tolist()):
+            cells[j] = cell(re=re, im=im)
+        yield cells
 
 
 def matrix_document(matrix: np.ndarray) -> dict[str, Any]:
-    """The JSON matrix layout as an object, with every cell built."""
+    """The JSON matrix layout as an object; its zero cells are one shared dict."""
     matrix = _checked_matrix(matrix)
-    return {"dim": len(matrix), "entries": list(_cell_rows(matrix))}
+    return {"dim": len(matrix), "entries": list(_matrix_rows(matrix, dict))}
 
 
 def emit_matrix(matrix: np.ndarray, fmt: str = "json") -> str:
     """Serialize a complex matrix as 'json' or 'csv', one row per line.
 
-    Rows are formatted one at a time, so no cell outlives its row's line.
+    Rows are formatted one at a time, so no cell outlives its line; zero cells share one text.
     """
     matrix = _checked_matrix(matrix)
     if fmt == "csv":
-        return "".join(
-            ",".join(map(_csv_cell, re_row.tolist(), im_row.tolist())) + "\n"
-            for re_row, im_row in zip(matrix.real, matrix.imag)
-        )
+        return "".join(",".join(cells) + "\n" for cells in _matrix_rows(matrix, _csv_cell))
     if fmt != "json":
         raise InvalidParameter(f"unknown matrix format {fmt!r}")
-    dim = len(matrix)
-    lines = ["{", f'  "dim": {dim},', '  "entries": [']
-    for r, cells in enumerate(_cell_rows(matrix)):
-        comma = "," if r + 1 < dim else ""
-        lines.append(f"    {json.dumps(cells)}{comma}")
-    lines += ["  ]", "}", ""]
-    return "\n".join(lines)
+    def cell(re: float, im: float) -> str:  # json.dumps's text of {"re": re, "im": im}
+        return f'{{"re": {re!r}, "im": {im!r}}}'
+    rows = ",".join("\n    [%s]" % ", ".join(cells) for cells in _matrix_rows(matrix, cell))
+    return '{\n  "dim": %d,\n  "entries": [%s\n  ]\n}\n' % (len(matrix), rows)

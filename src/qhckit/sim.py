@@ -85,11 +85,17 @@ def _read_out(
     tolerance: float,
 ) -> DecodedOutcome:
     """Decode a d-entry state from its probabilities on ``support``, their sum and argmax."""
+    try:
+        if not 0.0 <= tolerance < math.inf:  # also false for NaN
+            raise ValueError
+        threshold = 1.0 - tolerance
+    except (TypeError, ValueError, OverflowError):  # None, "x", nan, -1.0, inf, 10**400, ...
+        raise InvalidParameter("tolerance must be a finite real number >= 0") from None
     # Written with `not <=` so a NaN norm is also rejected.
     if not abs(total - 1.0) <= NORM_TOLERANCE:
         raise InvalidParameter(f"state is not normalized: |psi|^2 = {total}")
     label = None
-    if probabilities[top] >= 1.0 - tolerance:
+    if probabilities[top] >= threshold:
         label = index_to_label(int(support[top]), (dim - 1).bit_length())
     outcome = DecodedOutcome.__new__(DecodedOutcome)
     vars(outcome).update(label=label, _support=(dim, support, probabilities))

@@ -33,7 +33,6 @@ from .linalg import (
     cycle_spectrum,
     exp_from_spectrum,
     hermitian_generator,
-    orbit_column,
 )
 
 _BIT_VALUES = frozenset((0, 1))
@@ -246,12 +245,6 @@ class QhcGate:
         """The gate's unitary at evolution parameter ``s``."""
         return exp_from_spectrum(self.cycle, s)
 
-    def state(self, s: float) -> np.ndarray:
-        """``unitary(s)`` applied to the all-zero state (where the orbit starts)."""
-        state = np.zeros(self.dim, dtype=complex)
-        state[list(self.cycle.orbit)] = orbit_column(self.cycle, s)
-        return state
-
     @property
     def generator(self) -> np.ndarray:
         """Hermitian matrix ``H`` with ``unitary(s) == exp(-i s H)``."""
@@ -276,10 +269,18 @@ def find_cycle(weight_outputs: tuple[str, ...] | None) -> tuple[int, ...]:
     state for weight ``w`` sits at orbit position ``w mod L``, so L is the
     first weight ``w >= 1`` whose output is the all-zero state again (k + 1
     if none): a shorter orbit would need 0 sooner, a longer one would hold it twice.
+    An output that is not a bit string raises ``ValidationError``.
     """
     if weight_outputs is None:
         raise NotSymmetric("outputs differ within an input-weight class")
-    targets = [label_to_index(label) for label in weight_outputs]
+    try:
+        if "".join(weight_outputs).strip("01"):
+            raise ValueError
+        targets = [label_to_index(label) for label in weight_outputs]
+    except (TypeError, ValueError):  # None, "ab", " 1", "1_1", "", ...: name the first
+        for w, label in enumerate(weight_outputs):
+            if not isinstance(label, str) or not label or label.strip("01"):
+                raise ValidationError(f"weight {w}: output {label!r} is not a bit string") from None
     if targets[:1] != [0]:  # () has no weight-0 output at all
         first = weight_outputs[0] if weight_outputs else None
         raise InitialStateMismatch(f"weight-0 output must be the all-zero state, got {first!r}")

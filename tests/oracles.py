@@ -51,6 +51,33 @@ def read_matrix(text: str) -> np.ndarray:
     return matrix
 
 
+def matrix_document_oracle(matrix) -> dict:
+    """The JSON matrix layout as an object, one {"re": x, "im": y} dict per cell."""
+    matrix = np.asarray(matrix, dtype=complex)
+    cells = [[{"re": float(z.real), "im": float(z.imag)} for z in row] for row in matrix]
+    return {"dim": len(matrix), "entries": cells}
+
+
+def emit_matrix_oracle(matrix, fmt: str) -> str:
+    """A matrix's JSON text (json.dumps of each row's cell dicts) or CSV text, cell by cell."""
+    cells = matrix_document_oracle(matrix)["entries"]
+    if fmt == "csv":
+        return "".join(",".join(map(_csv_cell_oracle, row)) + "\n" for row in cells)
+    lines = ["{", f'  "dim": {len(cells)},', '  "entries": [']
+    lines += [f"    {json.dumps(row)}," for row in cells]
+    if cells:
+        lines[-1] = lines[-1][:-1]  # no comma after the last row
+    return "\n".join([*lines, "  ]", "}", ""])
+
+
+def _csv_cell_oracle(cell: dict) -> str:
+    def part(x: float) -> str:  # shortest repr, "1" for 1.0 and "0" for either zero
+        text = "0" if x == 0 else repr(x)
+        return text[:-2] if text.endswith(".0") else text
+
+    return part(cell["re"]) + ("-" if cell["im"] < 0 else "+") + part(abs(cell["im"])) + "i"
+
+
 def _reject_constant(name: str) -> None:
     raise ValueError(f"non-finite literal {name}")
 

@@ -10,10 +10,13 @@ from hypothesis import strategies as st
 from qhckit import QhcError, TruthTable, half_adder_truth_table, parse_truth_table, serialize
 from qhckit.errors import InvalidParameter, ParseError, ValidationError
 from qhckit.gates import half_adder_closed_form
-from qhckit.serialize import emit_matrix, emit_truth_table
+from qhckit.linalg import cycle_spectrum, exp_from_spectrum, hermitian_generator
+from qhckit.serialize import emit_matrix, emit_truth_table, matrix_document
 
 from oracles import (
+    emit_matrix_oracle,
     emit_truth_table_oracle,
+    matrix_document_oracle,
     orbit_permutation,
     parse_truth_table_oracle,
     read_matrix,
@@ -650,3 +653,72 @@ def test_matrix_emission_holds_one_row_of_cells_at_a_time():
             tracemalloc.stop()
         # The text itself, the row lines it is joined from, and one row.
         assert peak < 3 * size, (fmt, peak, size)
+
+
+def _signed_zeros(rng, matrix):
+    """``matrix`` with about a fifth of its real and imaginary parts set to -0.0."""
+    matrix = np.array(matrix, dtype=complex)
+    matrix.real[rng.random(matrix.shape) < 0.2] = -0.0
+    matrix.imag[rng.random(matrix.shape) < 0.2] = -0.0
+    return matrix
+
+
+def _writer_matrices(kind):
+    """One kind of matrix at d = 1..64, or a cycle's H and U(s) for L = 1, 2, 3, 4 and 7."""
+    rng = np.random.default_rng(7)
+    if kind == "orbit":
+        for orbit, dim in [((0,), 1), ((0,), 4), ((0, 1), 2), ((0, 1, 3), 4), ((0, 2, 1, 3), 4),
+                           ((0, 1, 3, 5, 6, 2, 4), 8), ((0, 1, 3, 5, 6, 2, 4), 32)]:
+            spectrum = cycle_spectrum(orbit, dim)
+            yield hermitian_generator(spectrum)
+            for s in (0.3, 1, 2.5, 1e15 + 0.5, -0.7, 5e-324):
+                yield exp_from_spectrum(spectrum, s)
+        return
+    if kind == "empty":
+        yield np.zeros((0, 0))
+        return
+    for d in (1, 2, 3, 4, 5, 6, 7, 8, 12, 16, 17, 24, 32, 48, 64):
+        dense = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        sparse = dense * (rng.random((d, d)) < 0.2)
+        yield {
+            "dense": lambda: dense,
+            "sparse": lambda: sparse,
+            "signed zeros": lambda: _signed_zeros(rng, np.zeros((d, d))),
+            "sparse with signed zeros": lambda: _signed_zeros(rng, sparse),
+            "extremes": lambda: np.where(rng.random((d, d)) < 0.5, 5e-324 - 1e308j, -1e308 + 0j),
+            "tiny": lambda: rng.standard_normal((d, d)) * 1e-300,
+            "integer": lambda: rng.integers(-3, 4, (d, d)),
+            "identity": lambda: np.eye(d),
+            "fortran order": lambda: np.asfortranarray(sparse),
+            "transposed": lambda: dense.T,
+            "strided": lambda: _signed_zeros(rng, rng.standard_normal((2 * d, 2 * d)))[::2, 1::2],
+        }[kind]()
+
+
+@pytest.mark.parametrize(
+    "kind",
+    [
+        "dense", "sparse", "signed zeros", "sparse with signed zeros", "extremes", "tiny",
+        "integer", "identity", "fortran order", "transposed", "strided", "empty", "orbit",
+    ],
+)
+def test_matrix_writers_match_the_per_cell_oracle(kind):
+    # The writers format only cells with a bit set and share one zero cell;
+    # the oracle builds a dict per cell.  A -0.0 part must still read -0.0.
+    for matrix in _writer_matrices(kind):
+        for fmt in ("json", "csv"):
+            assert emit_matrix(matrix, fmt) == emit_matrix_oracle(matrix, fmt), (kind, fmt)
+        document = json.dumps(matrix_document(matrix), indent=2)
+        assert document == json.dumps(matrix_document_oracle(matrix), indent=2), kind
+
+
+def test_matrix_document_holds_one_zero_cell_per_matrix():
+    # U(0.3) of a 7-state orbit at d = 512: 505 of its rows hold one cell each.
+    unitary = exp_from_spectrum(cycle_spectrum((0, 1, 3, 5, 6, 2, 4), 512), 0.3)
+    tracemalloc.start()
+    try:
+        matrix_document(unitary)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20, peak

@@ -15,7 +15,7 @@ from qhckit.gates import full_adder_closed_form, half_adder_closed_form
 from qhckit.sim import DecodedOutcome, apply, decode, input_sum
 from qhckit.synth import index_to_label
 
-from oracles import orbit_permutation, weight_table
+from oracles import orbit_column_fft, orbit_permutation, weight_table
 
 
 def all_zeros(dim):
@@ -101,6 +101,36 @@ def test_decode_rejects_non_finite_states(state):
         decode(np.array(state, dtype=complex))
 
 
+TOLERANCE_READERS = {
+    "evaluate_continuous": lambda tolerance: evaluate_continuous(
+        synthesize(half_adder_truth_table()), (1.0, 0.0), tolerance=tolerance
+    ),
+    # Not normalized: the tolerance is checked before the norm.
+    "decode": lambda tolerance: decode(np.array([1, 1, 0, 0]), tolerance=tolerance),
+}
+
+
+@pytest.mark.parametrize(
+    "tolerance, refused",
+    [
+        *[(bad, True) for bad in ("x", "0.1", None, 1j, math.nan, -1.0, -5e-324, math.inf)],
+        pytest.param(10**400, True, id="10**400"),
+        *[(good, False) for good in (0, 0.0, 1e-300, Fraction(1, 3), np.float64(0.5), 1e308)],
+    ],
+)
+@pytest.mark.parametrize("reader", sorted(TOLERANCE_READERS))
+def test_readers_take_only_a_finite_real_tolerance_at_least_zero(reader, tolerance, refused):
+    read = TOLERANCE_READERS[reader]
+    if refused:
+        with pytest.raises(InvalidParameter, match="tolerance must be a finite real number >= 0"):
+            read(tolerance)
+    elif reader == "decode":
+        with pytest.raises(InvalidParameter, match="not normalized"):
+            read(tolerance)
+    else:
+        assert read(tolerance).label == "01"
+
+
 def test_evaluate_boolean_rows_for_both_gates():
     for table in (half_adder_truth_table(), full_adder_truth_table()):
         gate = synthesize(table)
@@ -133,7 +163,6 @@ def test_evaluate_validates_inputs():
 def test_parameters_too_large_for_a_float_are_invalid():
     gate = synthesize(half_adder_truth_table())
     for call in (
-        lambda: gate.state(10**400),
         lambda: gate.unitary(10**400),
         lambda: evaluate_continuous(gate, [10**400, 0]),
     ):
@@ -228,7 +257,9 @@ def test_orbit_readout_matches_the_dense_decode(qubits, input_count, data):
         )
     )
     outcome = evaluate_continuous(gate, inputs)
-    dense = decode(gate.state(sum(inputs)))
+    state = np.zeros(dim, dtype=complex)
+    state[list(orbit)] = orbit_column_fft(gate.cycle.angles, sum(inputs))
+    dense = decode(state)
     assert outcome.label == dense.label
     assert len(outcome.probabilities) == dim
     assert np.max(np.abs(np.array(outcome.probabilities) - dense.probabilities)) <= 1e-12
