@@ -11,13 +11,11 @@ Truth tables travel as line-oriented JSON so diffs stay readable:
       ]
     }
 
-A document in exactly the layout emit_truth_table writes (rows in any
-order) is read without a JSON decoder: its rows are one byte grid, checked a
-block at a time against template rows cached per (inputs, output_qubits).
-Keys and labels are read eight bit bytes per word; only keys out of counting
-order are checked for repeats.  Any other layout goes through the decoder: one
-walk checks its rows in document order, naming every fault, and the same word
-reader reads their joined bits.  Both hand TruthTable labels in counting order.
+A document of exactly the bytes emit_truth_table writes is read without a
+JSON decoder, as one byte grid checked a block at a time against template rows
+cached per (inputs, output_qubits).  Any other, rows in another order included,
+goes through the decoder, whose one walk names every fault in document order.
+Both read bits eight bytes per word and hand TruthTable labels in counting order.
 
 Matrices are written, never read, as {"dim": d, "entries": [[{"re": x,
 "im": y}, ...], ...]} in row-major order, or as CSV: one row per line of
@@ -42,11 +40,11 @@ from typing import Any, Callable
 import numpy as np
 
 from .errors import InvalidParameter, ParseError, ValidationError
-from .synth import MAX_INPUTS, MAX_OUTPUT_QUBITS, TruthTable, check_row, check_sizes, counting_order
+from .synth import TruthTable, check_row, check_sizes, counting_order
 
 # The layout emit_truth_table writes, and the one parse_truth_table reads
 # without a JSON decoder: the header, then one row line per input in counting
-# order (any order is read), joined by the separator, then the footer.
+# order, joined by the separator, then the footer.
 _HEADER = '{\n  "inputs": %d,\n  "output_qubits": %d,\n  "rows": [\n'
 _ROW = '    {"in": "%s", "out": "%s"}'
 _SEPARATOR = ",\n"
@@ -79,13 +77,13 @@ def parse_truth_table(text: str) -> TruthTable:
 
 
 def _read_emitted_layout(text: str) -> tuple[int, int, np.ndarray] | None:
-    """Counts and counting-order labels of a document in exactly the emitted layout, else None.
+    """Counts and labels of a document of exactly the bytes emit_truth_table writes, else None.
 
     Each row line then has the same length, so the rows are one byte grid,
     checked a block of rows at a time against the template row.  Labels
-    come back only for a complete table with distinct inputs, where the JSON
-    path would build an equal table; any other document, valid or not, is
-    left to that path, the one source of every error.
+    come back only when the keys run 0..2^k-1 in order; counts are not
+    capped here, as TruthTable refuses an over-cap one with the decoder's
+    error.  Any other document, valid or not, is left to the decoder.
     """
     if not (isinstance(text, str) and text.isascii()):
         return None
@@ -95,8 +93,6 @@ def _read_emitted_layout(text: str) -> tuple[int, int, np.ndarray] | None:
         return None
     k, n = map(int, header.groups())
     first = header.end()
-    if k > MAX_INPUTS or n > MAX_OUTPUT_QUBITS:
-        return None
     count, stride, ins, outs, expected, mask = _grid_layout(k, n)
     rows_end = first + count * stride - len(_SEPARATOR)
     if len(data) != rows_end + len(_FOOTER) or not data.endswith(_FOOTER.encode()):
@@ -111,15 +107,9 @@ def _read_emitted_layout(text: str) -> tuple[int, int, np.ndarray] | None:
         if np.count_nonzero(np.bitwise_and(out, mask[: len(block)], out=out)):
             return None
     keys = _read_bits(data, first + ins.start, stride, k, count)
-    in_order = np.array_equal(keys, np.arange(count, dtype=np.uint64))
-    if not in_order:
-        # 2^k keys below 2^k fill the mask exactly when none repeats.
-        seen = np.zeros(count, bool)
-        seen[keys] = True
-        if not seen.all():
-            return None
-    labels = _read_bits(data, first + outs.start, stride, n, count)
-    return k, n, labels if in_order else counting_order(k, keys, labels)
+    if not np.array_equal(keys, np.arange(count, dtype=np.uint64)):
+        return None
+    return k, n, _read_bits(data, first + outs.start, stride, n, count)
 
 
 @lru_cache(maxsize=16)

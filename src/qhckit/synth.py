@@ -24,6 +24,7 @@ from .errors import (
     DimensionError,
     InitialStateMismatch,
     InvalidOrbit,
+    InvalidParameter,
     NonEmbeddable,
     NotSymmetric,
     ValidationError,
@@ -269,18 +270,16 @@ def find_cycle(weight_outputs: tuple[str, ...] | None) -> tuple[int, ...]:
     state for weight ``w`` sits at orbit position ``w mod L``, so L is the
     first weight ``w >= 1`` whose output is the all-zero state again (k + 1
     if none): a shorter orbit would need 0 sooner, a longer one would hold it twice.
-    An output that is not a bit string raises ``ValidationError``.
+    Outputs other than a non-string sequence of bit strings raise ``ValidationError``.
     """
     if weight_outputs is None:
         raise NotSymmetric("outputs differ within an input-weight class")
-    try:
-        if "".join(weight_outputs).strip("01"):
-            raise ValueError
-        targets = [label_to_index(label) for label in weight_outputs]
-    except (TypeError, ValueError):  # None, "ab", " 1", "1_1", "", ...: name the first
-        for w, label in enumerate(weight_outputs):
-            if not isinstance(label, str) or not label or label.strip("01"):
-                raise ValidationError(f"weight {w}: output {label!r} is not a bit string") from None
+    if isinstance(weight_outputs, str) or not isinstance(weight_outputs, Sequence):
+        raise ValidationError(f"outputs must be a sequence of labels, got {weight_outputs!r}")
+    for w, label in enumerate(weight_outputs):  # None, "ab", " 1", "1_1", "", ...: name the first
+        if not isinstance(label, str) or not label or label.strip("01"):
+            raise ValidationError(f"weight {w}: output {label!r} is not a bit string")
+    targets = [label_to_index(label) for label in weight_outputs]
     if targets[:1] != [0]:  # () has no weight-0 output at all
         first = weight_outputs[0] if weight_outputs else None
         raise InitialStateMismatch(f"weight-0 output must be the all-zero state, got {first!r}")
@@ -361,8 +360,13 @@ def verify(
     At ``s = w`` the gate sends the all-zero state exactly to the state at
     orbit position ``w mod L``, so a row of weight ``w`` deviates by 0.0 if
     its label is that state's and by 1.0 if not; no state is evolved.  The
-    report passes when no row deviates and 0.0 is within ``tolerance``.
+    report passes when no row deviates and 0.0 is within ``tolerance``; a
+    tolerance that does not compare with a float is ``InvalidParameter``.
     """
+    try:
+        within = bool(0.0 <= tolerance)  # False for NaN and negatives
+    except (TypeError, ValueError):  # None, "x", 1j, an array, ...
+        raise InvalidParameter(f"tolerance must be a real number, got {tolerance!r}") from None
     if gate.dim != table.dim:
         raise DimensionError(
             f"gate dimension {gate.dim} does not match table dimension {table.dim}"
@@ -370,7 +374,7 @@ def verify(
     orbit_labels = [index_to_label(index, table.output_qubits) for index in gate.cycle.orbit]
     obtained = [orbit_labels[w % gate.length] for w in range(table.input_count + 1)]
     worst = float(any(labels != {got} for labels, got in zip(table.labels_by_weight, obtained)))
-    return VerificationReport(RowChecks(table, obtained), worst == 0 and worst <= tolerance, worst)
+    return VerificationReport(RowChecks(table, obtained), worst == 0 and within, worst)
 
 
 def qubit_count(table: TruthTable) -> int:

@@ -5,11 +5,11 @@ from pathlib import Path
 import pytest
 
 import qhckit
-from qhckit.errors import InitialStateMismatch, InvalidParameter
-from qhckit.gates import GateKind, cross_validate
+from qhckit.errors import InitialStateMismatch, InvalidParameter, ValidationError
+from qhckit.gates import GateKind, cross_validate, full_adder_truth_table
 from qhckit.serialize import emit_matrix, matrix_document
 from qhckit.sim import decode
-from qhckit.synth import find_cycle
+from qhckit.synth import TruthTable, find_cycle, synthesize, verify
 
 
 def test_star_import_matches_all():
@@ -37,6 +37,11 @@ def test_readme_library_example_runs_and_imports_all(capsys):
     assert sorted(imported) == sorted(qhckit.__all__)
 
 
+FULL_ADDER = full_adder_truth_table()
+FULL_ADDER_GATE = synthesize(FULL_ADDER)
+# The full adder's table with one label changed, so verify finds a deviating row.
+WRONG_FULL_ADDER = TruthTable(3, 2, {**FULL_ADDER.rows, (0, 1, 1): "00"})
+
 ENTRY_POINT_FAULTS = {
     "emit_matrix-text-cell": (lambda: emit_matrix([["a"]]), InvalidParameter),
     "emit_matrix-ragged": (lambda: emit_matrix([[1, 2], [3]]), InvalidParameter),
@@ -50,6 +55,16 @@ ENTRY_POINT_FAULTS = {
         lambda: cross_validate(GateKind.HALF_ADDER, 2.5), InvalidParameter
     ),
     "find_cycle-no-outputs": (lambda: find_cycle(()), InitialStateMismatch),
+    "find_cycle-not-iterable": (lambda: find_cycle(5), ValidationError),
+    "find_cycle-bare-string": (lambda: find_cycle("01"), ValidationError),
+    **{
+        f"verify-{name}-tolerance-{kind}-table": (
+            lambda table=table, tolerance=tolerance: verify(FULL_ADDER_GATE, table, tolerance),
+            InvalidParameter,
+        )
+        for name, tolerance in (("text", "x"), ("none", None), ("complex", 1j))
+        for kind, table in (("passing", FULL_ADDER), ("failing", WRONG_FULL_ADDER))
+    },
 }
 
 

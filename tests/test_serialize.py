@@ -369,17 +369,23 @@ def join_rows(head, rows, tail):
 
 @pytest.mark.parametrize("shuffle", [False, True])
 def test_emitted_layout_is_read_without_the_json_decoder(monkeypatch, shuffle):
+    # The grid reads exactly the bytes emit_truth_table writes; the same rows
+    # in another order are left to the decoder, which reads the same table.
     def no_decoder(text):
         raise AssertionError("the JSON decoder ran")
 
-    monkeypatch.setattr(serialize, "_load_json", no_decoder)
+    if not shuffle:
+        monkeypatch.setattr(serialize, "_load_json", no_decoder)
     rng = np.random.default_rng(7)
     for k, n in itertools.product(range(1, 13), range(1, 4)):
         table = table_with_labels(k, n, rng.integers(0, 2**n, 2**k).tolist())
         head, rows, tail = split_rows(emit_truth_table(table))
         if shuffle:
             rows = rng.permutation(rows).tolist()
-        parsed = parse_truth_table(join_rows(head, rows, tail))
+        text = join_rows(head, rows, tail)
+        in_order = text == emit_truth_table(table)
+        assert (serialize._read_emitted_layout(text) is None) == (not in_order)
+        parsed = parse_truth_table(text)
         assert parsed == table and parsed.labels_by_weight == table.labels_by_weight
 
 
@@ -525,14 +531,15 @@ def test_changed_bytes_at_chunk_boundaries(k, shuffle):
     # row-by-row oracle takes seconds per document from k = 15 on, so there a
     # changed input must leave the document to the decoder, which the other
     # tests hold to the oracle, and a changed output must change one label bit.
+    # Shuffled rows are the decoder's alone, which reads the same words of
+    # the joined keys and labels.
     rng = np.random.default_rng(k)
     for n in [1, 7, 8, 9] + [20] * (k <= 4):
         labels = rng.integers(0, 2**n, 2**k).tolist()
-        head, rows, tail = split_rows(emit_truth_table_oracle(k, n, labels))
-        if shuffle:
-            rows = rng.permutation(rows).tolist()
+        head, ordered, tail = split_rows(emit_truth_table_oracle(k, n, labels))
+        rows = rng.permutation(ordered).tolist() if shuffle else ordered
         text = join_rows(head, rows, tail)
-        assert serialize._read_emitted_layout(text) is not None
+        assert (serialize._read_emitted_layout(text) is None) == (rows != ordered)
         parsed, want = parse_truth_table(text), decoded(text)
         assert (parsed.input_count, parsed.output_qubits) == (k, n)
         assert np.array_equal(parsed.label_indices, want.label_indices)
@@ -581,9 +588,8 @@ def test_every_source_reads_the_same_packed_columns(k, n):
 @settings(max_examples=60, deadline=None)
 @given(k=st.integers(1, 10), n=st.integers(1, 4), seed=st.integers(0, 2**32 - 1), data=st.data())
 def test_counting_order_shuffled_and_repeated_keys_match_the_oracle(k, n, seed, data):
-    # Keys in counting order skip the grid reader's duplicate check, any
-    # other order takes it, and a repeated key leaves the document to the
-    # decoder, which names the row.
+    # Keys in counting order are read by the grid reader; any other order, or
+    # a repeated key, leaves the document to the decoder, which names the row.
     rng = np.random.default_rng(seed)
     labels = rng.integers(0, 2**n, 2**k).tolist()
     head, rows, tail = split_rows(emit_truth_table_oracle(k, n, labels))
@@ -593,7 +599,7 @@ def test_counting_order_shuffled_and_repeated_keys_match_the_oracle(k, n, seed, 
     repeated[at] = rows[at][:start] + rows[source][start:end] + rows[at][end:]
     for layout in (rows, rng.permutation(rows).tolist(), repeated):
         text = join_rows(head, layout, tail)
-        assert (serialize._read_emitted_layout(text) is None) == (layout is repeated)
+        assert (serialize._read_emitted_layout(text) is None) == (layout != rows)
         want, got = outcome(parse_truth_table_oracle, text), outcome(parse_truth_table, text)
         if isinstance(got, TruthTable):
             _, _, oracle_rows, labels_by_weight = want
@@ -619,10 +625,23 @@ def test_the_grid_layout_cache_is_bounded_and_read_only():
         assert not (expected.flags.writeable or mask.flags.writeable)
 
 
-def test_an_over_cap_count_in_the_emitted_layout_is_left_to_the_decoder():
-    text = emit_truth_table_oracle(1, 21, [0, 1])
-    assert serialize._read_emitted_layout(text) is None
+def test_an_over_cap_count_is_refused_alike_in_both_layouts():
+    # The grid holds no cap: it reads 21-bit labels, and TruthTable refuses
+    # the count with the decoder's message.  An input count above 64 cannot
+    # match the grid's length, so that document goes to the decoder.
+    text = (
+        '{\n  "inputs": 2,\n  "output_qubits": 21,\n  "rows": [\n'
+        + ",\n".join(f'    {{"in": "{i:02b}", "out": "{i:021b}"}}' for i in range(4))
+        + "\n  ]\n}\n"
+    )
+    assert serialize._read_emitted_layout(text) is not None
     refused = (ValidationError, "output qubit count must be 1 to 20, got 21")
+    for document in (text, json.dumps(json.loads(text))):
+        assert outcome(parse_truth_table, document) == refused
+        assert outcome(parse_truth_table_oracle, document) == refused
+    text = HALF_ADDER_DOC.replace('"inputs": 2', '"inputs": 65')
+    assert serialize._read_emitted_layout(text) is None
+    refused = (ValidationError, "input count must be 1 to 64, got 65")
     assert outcome(parse_truth_table, text) == outcome(parse_truth_table_oracle, text) == refused
 
 

@@ -250,6 +250,10 @@ def test_find_cycle_rejections():
     for label in ("ab", None, " 1", "1_1", "", 1):
         with pytest.raises(ValidationError, match=re.escape(f"weight 1: output {label!r} ")):
             find_cycle(("00", label))
+    # No sequence at all, and a bare string, which would read as one label per character.
+    for outputs in (5, "01"):
+        with pytest.raises(ValidationError, match="outputs must be a sequence of labels"):
+            find_cycle(outputs)
 
 
 def test_find_cycle_constant_table_gives_identity():
