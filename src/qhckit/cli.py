@@ -23,7 +23,7 @@ from typing import Any
 from .errors import QhcError, SynthesisError
 from .gates import BUILTINS, GateKind, cross_validate
 from .report import resource_report
-from .serialize import emit_matrix, matrix_document, parse_truth_table
+from .serialize import matrix_text, parse_truth_table
 from .sim import BASIS_TOLERANCE, evaluate_continuous, input_sum
 from .synth import VERIFY_TOLERANCE, QhcGate, TruthTable, format_bits, synthesize, verify
 
@@ -43,8 +43,7 @@ def _resolve_table(gate: str) -> TruthTable:
 
 
 def _emit(doc: dict[str, Any]) -> None:
-    json.dump(doc, sys.stdout, indent=2, allow_nan=False)
-    sys.stdout.write("\n")
+    sys.stdout.write(json.dumps(doc, indent=2, allow_nan=False) + "\n")
 
 
 def _parse_inputs(text: str) -> list[float]:
@@ -85,15 +84,21 @@ def _cmd_synth(args: argparse.Namespace) -> int:
         },
         "verification": {"passed": check.passed, "max_deviation": check.max_deviation},
     }
-    # The unitary is built first, so a parameter it refuses leaves no generator file.
+    # Both matrices are checked first: one refused leaves no file and prints nothing.
     if args.emit_u is not None:
-        unitary = {"parameter": args.emit_u, "matrix": matrix_document(gate.unitary(args.emit_u))}
+        unitary = matrix_text(gate.unitary(args.emit_u), "nested")
     if args.emit_h is not None:
-        Path(args.emit_h).write_text(emit_matrix(gate.generator, args.emit), encoding="utf-8")
+        generator = matrix_text(gate.generator, args.emit)
+        with open(args.emit_h, "w", encoding="utf-8") as out:
+            out.writelines(generator)
         doc["generator_file"] = args.emit_h
-    if args.emit_u is not None:
-        doc["unitary"] = unitary
-    _emit(doc)
+    if args.emit_u is None:
+        _emit(doc)
+    else:  # "unitary" is the last key: its text is written around the streamed matrix.
+        sys.stdout.write(json.dumps(doc, indent=2, allow_nan=False).removesuffix("\n}"))
+        sys.stdout.write(f',\n  "unitary": {{\n    "parameter": {args.emit_u!r},\n    "matrix": ')
+        sys.stdout.writelines(unitary)
+        sys.stdout.write("\n  }\n}\n")
     return 0 if check.passed else 1
 
 

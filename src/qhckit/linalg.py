@@ -54,8 +54,6 @@ class SpectralDecomposition:
             dim = operator.index(self.dim)
         except TypeError as exc:
             raise InvalidOrbit(f"dimension must be an integer: {exc}") from None
-        if dim < 1:
-            raise InvalidOrbit(f"dimension must be positive, got {dim}")
         if not 1 <= len(self.orbit) <= MAX_ORBIT:
             raise InvalidOrbit(f"orbit must hold 1 to {MAX_ORBIT} states, got {len(self.orbit)}")
         try:

@@ -20,8 +20,8 @@ Both read bits eight bytes per word and hand TruthTable labels in counting order
 Matrices are written, never read, as {"dim": d, "entries": [[{"re": x,
 "im": y}, ...], ...]} in row-major order, or as CSV: one row per line of
 "a+bi" cells, for spreadsheets.  Parts are shortest round-trip decimals, so
-json.loads gets every entry back bit-exactly.  One walk serves every layout:
-it formats only the cells with a bit set, and the rest share one zero cell.
+json.loads gets every entry back bit-exactly.  One walk streams every layout
+a row at a time, formatting only cells with a bit set: zeros share one cell.
 
 A malformed truth-table document raises ParseError; a structurally sound
 one whose rows break the truth-table invariants raises ValidationError.
@@ -35,7 +35,7 @@ import json
 import re
 from collections.abc import Iterator
 from functools import lru_cache
-from typing import Any, Callable
+from typing import Any
 
 import numpy as np
 
@@ -69,8 +69,10 @@ def _reject_constant(name: str) -> None:
     raise ParseError(f"non-finite literal {name!r} is not allowed")
 
 
-def parse_truth_table(text: str) -> TruthTable:
-    """Parse and validate a truth-table document."""
+def parse_truth_table(text: str | bytes) -> TruthTable:
+    """Parse and validate a truth-table document: a str, bytes or bytearray."""
+    if not isinstance(text, (str, bytes, bytearray)):
+        raise ParseError(f"expected a str, bytes or bytearray document, got {type(text).__name__}")
     parsed = _read_emitted_layout(text)
     inputs, output_qubits, labels = parsed if parsed is not None else _read_json(text)
     return TruthTable(inputs, output_qubits, labels)
@@ -218,16 +220,32 @@ def emit_truth_table(table: TruthTable) -> str:
     return _HEADER % (k, n) + _SEPARATOR.join(rows) + _FOOTER
 
 
-def _real_text(value: float) -> str:
-    return "0" if value == 0.0 else repr(value).removesuffix(".0")
+def _csv_cell(parts: tuple[float, float]) -> str:
+    """Cell text "a+bi": shortest round-trip parts, "1" for 1.0 and "0" for either zero."""
+    re, im = ("0" if x == 0.0 else repr(x).removesuffix(".0") for x in (parts[0], abs(parts[1])))
+    return re + ("-" if parts[1] < 0.0 else "+") + im + "i"
 
 
-def _csv_cell(re: float, im: float) -> str:
-    sign = "-" if im < 0.0 else "+"
-    return f"{_real_text(re)}{sign}{_real_text(abs(im))}i"
+# Each matrix layout: the head (of "%(dim)d"), the text of an (re, im) cell,
+# the row (of its cells joined by the cell separator), the separators between
+# cells and between rows, the tail, and the tail after no rows.  "nested" is
+# the "json" layout's object as json.dumps(indent=2) writes it two objects deep.
+_MATRIX_LAYOUTS = {
+    "json": ('{\n  "dim": %(dim)d,\n  "entries": [', '{"re": %r, "im": %r}'.__mod__,
+             "\n    [%s]", ", ", ",", "\n  ]\n}\n", "\n  ]\n}\n"),
+    "csv": ("", _csv_cell, "%s\n", ",", "", "", ""),
+    "nested": ('{\n      "dim": %(dim)d,\n      "entries": [',
+               '{\n            "re": %r,\n            "im": %r\n          }'.__mod__,
+               "\n        [\n          %s\n        ]", ",\n          ", ",",
+               "\n      ]\n    }", "]\n    }"),
+}
 
 
-def _checked_matrix(matrix: np.ndarray) -> np.ndarray:
+def matrix_text(matrix: np.ndarray, fmt: str = "json") -> Iterator[str]:
+    """The text of a complex matrix as 'json', 'csv' or 'nested', yielded one row at a time.
+
+    The matrix and the format are checked on the call, before the first chunk.
+    """
     try:
         matrix = np.asarray(matrix, dtype=complex)
     except (TypeError, ValueError) as exc:  # [["a"]], ragged rows, ...
@@ -236,38 +254,25 @@ def _checked_matrix(matrix: np.ndarray) -> np.ndarray:
         raise InvalidParameter(f"matrix must be square, got shape {matrix.shape}")
     if not np.all(np.isfinite(matrix)):
         raise InvalidParameter("matrix entries must be finite")
-    return matrix
+    if fmt not in _MATRIX_LAYOUTS:
+        raise InvalidParameter(f"unknown matrix format {fmt!r}")
+    head, cell, row, cell_sep, row_sep, tail, empty_tail = _MATRIX_LAYOUTS[fmt]
 
+    def rows() -> Iterator[str]:
+        yield head % {"dim": len(matrix)}
+        zero = cell((0.0, 0.0))
+        for i, (re_row, im_row) in enumerate(zip(matrix.real, matrix.imag)):
+            cells = [zero] * len(re_row)
+            # Bits, not values: a -0.0 part is set, so it is written as -0.0.
+            at = np.flatnonzero(re_row.view(np.int64) | im_row.view(np.int64))
+            for j, parts in zip(at.tolist(), zip(re_row[at].tolist(), im_row[at].tolist())):
+                cells[j] = cell(parts)
+            yield (row_sep if i else "") + row % cell_sep.join(cells)
+        yield tail if len(matrix) else empty_tail
 
-def _matrix_rows(matrix: np.ndarray, cell: Callable[..., Any]) -> Iterator[list[Any]]:
-    """Each row's cells: ``cell(re=x, im=y)`` where a part has a bit set, else one shared zero."""
-    zero = cell(re=0.0, im=0.0)
-    for re_row, im_row in zip(matrix.real, matrix.imag):
-        cells = [zero] * len(re_row)
-        # Bits, not values: a -0.0 part is set, so it is written as -0.0.
-        at = np.flatnonzero(re_row.view(np.int64) | im_row.view(np.int64))
-        for j, re, im in zip(at.tolist(), re_row[at].tolist(), im_row[at].tolist()):
-            cells[j] = cell(re=re, im=im)
-        yield cells
-
-
-def matrix_document(matrix: np.ndarray) -> dict[str, Any]:
-    """The JSON matrix layout as an object; its zero cells are one shared dict."""
-    matrix = _checked_matrix(matrix)
-    return {"dim": len(matrix), "entries": list(_matrix_rows(matrix, dict))}
+    return rows()
 
 
 def emit_matrix(matrix: np.ndarray, fmt: str = "json") -> str:
-    """Serialize a complex matrix as 'json' or 'csv', one row per line.
-
-    Rows are formatted one at a time, so no cell outlives its line; zero cells share one text.
-    """
-    matrix = _checked_matrix(matrix)
-    if fmt == "csv":
-        return "".join(",".join(cells) + "\n" for cells in _matrix_rows(matrix, _csv_cell))
-    if fmt != "json":
-        raise InvalidParameter(f"unknown matrix format {fmt!r}")
-    def cell(re: float, im: float) -> str:  # json.dumps's text of {"re": re, "im": im}
-        return f'{{"re": {re!r}, "im": {im!r}}}'
-    rows = ",".join("\n    [%s]" % ", ".join(cells) for cells in _matrix_rows(matrix, cell))
-    return '{\n  "dim": %d,\n  "entries": [%s\n  ]\n}\n' % (len(matrix), rows)
+    """The whole text of ``matrix_text(matrix, fmt)`` as one string."""
+    return "".join(matrix_text(matrix, fmt))

@@ -503,7 +503,9 @@ def test_main_keeps_the_exit_code_contract(cli_files, data):
     if code == 2:
         assert err.getvalue().startswith(("error: ", "usage:"))
     elif code == 0 or out.getvalue():
-        json.loads(out.getvalue(), parse_constant=_reject_constant)
+        doc = json.loads(out.getvalue(), parse_constant=_reject_constant)
+        # Every result is json.dumps(indent=2) text, the streamed --emit-u matrix too.
+        assert code != 0 or out.getvalue() == json.dumps(doc, indent=2) + "\n", argv
     else:  # a table that admits no gate: a diagnostic and no result
         assert err.getvalue().startswith("error: ")
 

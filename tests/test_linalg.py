@@ -138,6 +138,8 @@ def test_group_law():
         ((0, 4), 4),
         ((-1,), 4),
         ((0,), 0),
+        ((0,), -1),
+        ((), 0),
         # Indices must be integers, not values that int() would truncate or parse.
         ((0, 1.5, 3.9), 4),
         (("0", "1"), 4),
@@ -263,6 +265,7 @@ def test_cached_angles_are_the_formula_bit_for_bit():
         got = cycle_spectrum(tuple(range(length)), 128).angles
         assert got.tobytes() == want.tobytes(), length
         assert not got.flags.writeable
+        assert not _dft_matrix(length).flags.writeable, length
     assert _angles.cache_info().currsize <= _angles.cache_info().maxsize == MAX_ORBIT
 
 

@@ -5,9 +5,9 @@ from pathlib import Path
 import pytest
 
 import qhckit
-from qhckit.errors import InitialStateMismatch, InvalidParameter, ValidationError
+from qhckit.errors import InitialStateMismatch, InvalidParameter, ParseError, ValidationError
 from qhckit.gates import GateKind, cross_validate, full_adder_truth_table
-from qhckit.serialize import emit_matrix, matrix_document
+from qhckit.serialize import emit_matrix, matrix_text, parse_truth_table
 from qhckit.sim import decode
 from qhckit.synth import TruthTable, find_cycle, synthesize, verify
 
@@ -45,7 +45,12 @@ WRONG_FULL_ADDER = TruthTable(3, 2, {**FULL_ADDER.rows, (0, 1, 1): "00"})
 ENTRY_POINT_FAULTS = {
     "emit_matrix-text-cell": (lambda: emit_matrix([["a"]]), InvalidParameter),
     "emit_matrix-ragged": (lambda: emit_matrix([[1, 2], [3]]), InvalidParameter),
-    "matrix_document-text-cell": (lambda: matrix_document([["a"]]), InvalidParameter),
+    # Refused on the call, before the stream yields its first chunk.
+    "matrix_text-text-cell": (lambda: matrix_text([["a"]]), InvalidParameter),
+    **{
+        f"parse_truth_table-{name}": (lambda doc=doc: parse_truth_table(doc), ParseError)
+        for name, doc in (("none", None), ("int", 5), ("list", []))
+    },
     "decode-text-amplitudes": (lambda: decode(["a", "b"]), InvalidParameter),
     "cross_validate-kind-by-name": (lambda: cross_validate("half-adder", 10), InvalidParameter),
     "cross_validate-text-grid": (

@@ -11,7 +11,7 @@ from qhckit import QhcError, TruthTable, half_adder_truth_table, parse_truth_tab
 from qhckit.errors import InvalidParameter, ParseError, ValidationError
 from qhckit.gates import half_adder_closed_form
 from qhckit.linalg import cycle_spectrum, exp_from_spectrum, hermitian_generator
-from qhckit.serialize import emit_matrix, emit_truth_table, matrix_document
+from qhckit.serialize import emit_matrix, emit_truth_table, matrix_text
 
 from oracles import (
     emit_matrix_oracle,
@@ -167,12 +167,14 @@ def test_csv_cells():
 
 
 def test_emit_matrix_rejects_bad_arguments():
-    with pytest.raises(InvalidParameter):
-        emit_matrix(np.eye(2), "yaml")
-    with pytest.raises(InvalidParameter):
-        emit_matrix(np.zeros((2, 3)))
-    with pytest.raises(InvalidParameter):
-        emit_matrix(np.array([[np.nan]]))
+    # matrix_text refuses on the call itself, before any chunk is drawn.
+    for writer in (emit_matrix, matrix_text):
+        with pytest.raises(InvalidParameter):
+            writer(np.eye(2), "yaml")
+        with pytest.raises(InvalidParameter):
+            writer(np.zeros((2, 3)))
+        with pytest.raises(InvalidParameter):
+            writer(np.array([[np.nan]]))
 
 
 @settings(max_examples=60, deadline=None)
@@ -724,20 +726,26 @@ def _writer_matrices(kind):
 def test_matrix_writers_match_the_per_cell_oracle(kind):
     # The writers format only cells with a bit set and share one zero cell;
     # the oracle builds a dict per cell.  A -0.0 part must still read -0.0.
+    # The nested layout is json.dumps's text of the oracle two objects deep.
     for matrix in _writer_matrices(kind):
         for fmt in ("json", "csv"):
             assert emit_matrix(matrix, fmt) == emit_matrix_oracle(matrix, fmt), (kind, fmt)
-        document = json.dumps(matrix_document(matrix), indent=2)
-        assert document == json.dumps(matrix_document_oracle(matrix), indent=2), kind
+        nested = json.dumps({"unitary": {"matrix": matrix_document_oracle(matrix)}}, indent=2)
+        text = "".join(matrix_text(matrix, "nested"))
+        assert '{\n  "unitary": {\n    "matrix": ' + text + "\n  }\n}" == nested, kind
 
 
-def test_matrix_document_holds_one_zero_cell_per_matrix():
-    # U(0.3) of a 7-state orbit at d = 512: 505 of its rows hold one cell each.
+def test_matrix_text_streams_every_layout_a_row_at_a_time():
+    # U(0.3) of a 7-state orbit at d = 512: 505 of its rows hold one cell
+    # each, and its three layouts are about 26 MB of text.
     unitary = exp_from_spectrum(cycle_spectrum((0, 1, 3, 5, 6, 2, 4), 512), 0.3)
+    size = 0
     tracemalloc.start()
     try:
-        matrix_document(unitary)
+        for fmt in ("json", "csv", "nested"):
+            for chunk in matrix_text(unitary, fmt):
+                size += len(chunk)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 8 * 2**20, peak
+    assert size > 16 * 2**20 and peak < 2**20, (size, peak)
