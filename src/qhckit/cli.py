@@ -33,7 +33,7 @@ MAX_GRID_POINTS = 10**5
 
 
 def _read_table(path: str) -> TruthTable:
-    return parse_truth_table(Path(path).read_text(encoding="utf-8"))
+    return parse_truth_table(Path(path).read_bytes())
 
 
 def _resolve_table(gate: str) -> TruthTable:
@@ -238,6 +238,6 @@ def main(argv: list[str] | None = None) -> int:
     except SynthesisError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (QhcError, OSError, UnicodeDecodeError) as exc:
+    except (QhcError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -11,11 +11,11 @@ Truth tables travel as line-oriented JSON so diffs stay readable:
       ]
     }
 
-A document of exactly the bytes emit_truth_table writes is read without a
-JSON decoder, as one byte grid checked a block at a time against template rows
-cached per (inputs, output_qubits).  Any other, rows in another order included,
-goes through the decoder, whose one walk names every fault in document order.
-Both read bits eight bytes per word and hand TruthTable labels in counting order.
+A document of exactly the bytes emit_truth_table writes, str or bytes, is read
+as one byte grid checked a block at a time against ASCII template rows cached
+per (inputs, output_qubits).  That check, the header pattern and the footer
+match every byte, so the grid needs no ASCII pre-scan.  The JSON decoder
+reads any other document, bytes as strict UTF-8.  Both give counting-order labels.
 
 Matrices are written, never read, as {"dim": d, "entries": [[{"re": x,
 "im": y}, ...], ...]} in row-major order, or as CSV: one row per line of
@@ -56,11 +56,12 @@ _HEADER_PATTERN = re.compile(re.escape(_HEADER).replace("%d", "([1-9][0-9]{0,2})
 _BLOCK_BYTES = 32 * 1024
 
 
-def _load_json(text: str) -> Any:
+def _load_json(text: str | bytes) -> Any:
     try:
-        # Strict JSON: the non-standard NaN/Infinity literals are refused anywhere.
+        # Strict JSON of strict UTF-8: no NaN/Infinity literal anywhere, no UTF-16 or UTF-32.
+        text = text if isinstance(text, str) else text.decode()
         return json.loads(text, parse_constant=_reject_constant)
-    # ValueError: a JSONDecodeError, or an integer past int_max_str_digits.
+    # ValueError: a UnicodeDecodeError, a JSONDecodeError, or an integer past int_max_str_digits.
     except (ValueError, RecursionError) as exc:
         raise ParseError(f"invalid JSON: {exc}") from exc
 
@@ -78,18 +79,16 @@ def parse_truth_table(text: str | bytes) -> TruthTable:
     return TruthTable(inputs, output_qubits, labels)
 
 
-def _read_emitted_layout(text: str) -> tuple[int, int, np.ndarray] | None:
+def _read_emitted_layout(text: str | bytes) -> tuple[int, int, np.ndarray] | None:
     """Counts and labels of a document of exactly the bytes emit_truth_table writes, else None.
 
-    Each row line then has the same length, so the rows are one byte grid,
-    checked a block of rows at a time against the template row.  Labels
+    Its row lines have one length, so the rows are one byte grid.  Labels
     come back only when the keys run 0..2^k-1 in order; counts are not
     capped here, as TruthTable refuses an over-cap one with the decoder's
-    error.  Any other document, valid or not, is left to the decoder.
+    error.  Any other document, valid or not, is left to the decoder: a str
+    with a lone surrogate too, whose surrogatepass bytes the grid refuses.
     """
-    if not (isinstance(text, str) and text.isascii()):
-        return None
-    data = text.encode("ascii")
+    data = text.encode(errors="surrogatepass") if isinstance(text, str) else text
     header = _HEADER_PATTERN.match(data)
     if header is None:
         return None
@@ -131,7 +130,7 @@ def _grid_layout(k: int, n: int) -> tuple[int, int, slice, slice, np.ndarray, np
     return 2**k, len(template), ins, outs, expected, mask
 
 
-def _read_json(text: str) -> tuple[int, int, np.ndarray]:
+def _read_json(text: str | bytes) -> tuple[int, int, np.ndarray]:
     """Counts and counting-order labels of any document, by the JSON decoder; raises on a fault."""
     doc = _load_json(text)
     if not isinstance(doc, dict):

@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qhckit
-from qhckit import TruthTable, full_adder_truth_table, half_adder_truth_table, synthesize
+from qhckit import TruthTable, full_adder_truth_table, half_adder_truth_table, synthesize, verify
 from qhckit.cli import MAX_GRID_POINTS, main
 from qhckit.errors import DimensionError, InvalidOrbit
 from qhckit.serialize import emit_truth_table
@@ -70,6 +70,7 @@ def test_synth_emits_generator_and_unitary(half_table_file, tmp_path, capsys):
     h = read_matrix(h_file.read_text(encoding="utf-8"))
     assert np.max(np.abs(h - h.conj().T)) < 1e-12
     doc = json.loads(out)
+    assert doc["generator_file"] == str(h_file)
     assert doc["unitary"]["parameter"] == 1.0
     matrix = doc["unitary"]["matrix"]
     exact = synthesize(half_adder_truth_table()).unitary(1.0)
@@ -113,13 +114,23 @@ def test_bad_tolerance_exits_2(command, half_table_file, capsys):
         assert "tolerance" in err
 
 
+def test_crlf_table_file_synthesizes_like_the_lf_file(half_table_file, tmp_path, capsys):
+    # Not the emitted bytes, so the JSON decoder reads it in place of the byte grid.
+    crlf = tmp_path / "half-crlf.json"
+    crlf.write_bytes(Path(half_table_file).read_bytes().replace(b"\n", b"\r\n"))
+    lf_code, lf_out, _ = run_cli(["synth", "--table", half_table_file], capsys)
+    code, out, err = run_cli(["synth", "--table", str(crlf)], capsys)
+    assert (code, out, err) == (lf_code, lf_out, "") and code == 0
+
+
 def test_synth_emits_csv_generator(half_table_file, tmp_path, capsys):
     h_file = tmp_path / "h.csv"
-    code, _, _ = run_cli(
+    code, out, _ = run_cli(
         ["synth", "--table", half_table_file, "--emit-h", str(h_file), "--emit", "csv"],
         capsys,
     )
     assert code == 0
+    assert json.loads(out)["generator_file"] == str(h_file)
     lines = h_file.read_text(encoding="utf-8").splitlines()
     assert len(lines) == 4
     assert all(len(line.split(",")) == 4 for line in lines)
@@ -243,6 +254,28 @@ def test_verify_rejects_grid_outside_bounds_before_running(grid, capsys, monkeyp
     code, _, err = run_cli(["verify", "--gate", "half-adder", "--grid", grid], capsys)
     assert code == 2
     assert "--grid" in err
+
+
+def test_verify_accepts_the_smallest_grid(capsys):
+    code, out, _ = run_cli(["verify", "--gate", "half-adder", "--grid", "2"], capsys)
+    assert code == 0
+    assert json.loads(out)["cross_validation"]["grid_points"] == 2
+
+
+def test_verify_passes_at_a_gap_equal_to_its_tolerance(capsys, monkeypatch):
+    monkeypatch.setattr("qhckit.cli.cross_validate", lambda kind, grid: 1e-9)
+    code, out, _ = run_cli(["verify", "--gate", "half-adder", "--tolerance", "1e-9"], capsys)
+    assert (code, json.loads(out)["passed"]) == (0, True)
+
+
+def test_synth_exits_1_when_verification_fails(half_table_file, capsys, monkeypatch):
+    # synthesize returns only gates that verify at any tolerance the command
+    # line takes; the library's verify fails every report at a negative one.
+    monkeypatch.setattr(
+        "qhckit.cli.verify", lambda gate, table, tolerance: verify(gate, table, tolerance=-1.0)
+    )
+    code, out, _ = run_cli(["synth", "--table", half_table_file], capsys)
+    assert (code, json.loads(out)["verification"]["passed"]) == (1, False)
 
 
 def test_verify_accepts_grid_at_the_cap(capsys, monkeypatch):

@@ -1,6 +1,7 @@
 import itertools
 import json
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -98,6 +99,26 @@ def test_wrong_width_is_a_validation_error():
 def test_malformed_documents_are_parse_errors(mangle):
     with pytest.raises(ParseError):
         parse_truth_table(mangle(HALF_ADDER_DOC))
+
+
+@pytest.mark.parametrize("doc", ["5", "null", "true", '"x"', "[]"])
+def test_a_document_that_is_not_an_object_is_a_parse_error(doc):
+    # Without the check, "field not in doc" raises TypeError on a number or a
+    # literal and finds no field in a string or an array.
+    for document in (doc, doc.encode()):
+        with pytest.raises(ParseError, match="^expected a JSON object, got "):
+            parse_truth_table(document)
+
+
+@pytest.mark.parametrize("encoding", ["utf-16", "utf-32", "utf-8-sig"])
+def test_bytes_are_utf8_without_a_byte_order_mark(encoding):
+    # json.loads guesses the encoding of bytes and takes all three; a
+    # document in bytes must be UTF-8, as a table file must.
+    data = HALF_ADDER_DOC.encode(encoding)
+    assert json.loads(data) == json.loads(HALF_ADDER_DOC)
+    for document in (data, bytearray(data)):
+        with pytest.raises(ParseError, match="^invalid JSON: "):
+            parse_truth_table(document)
 
 
 # Python refuses to convert an integer literal longer than int_max_str_digits
@@ -288,11 +309,26 @@ def outcome(parse, text):
         return type(exc), str(exc)
 
 
+def parsed_alike(text):
+    """parse_truth_table's outcome for a document, the same from its str, bytes and bytearray.
+
+    The byte forms of a document the grid reads never reach the JSON decoder.
+    """
+    want = outcome(parse_truth_table, text)
+    gridded = serialize._read_emitted_layout(text) is not None
+    data = text.encode()
+    for document in (data, bytearray(data)):
+        with mock.patch.object(serialize, "_read_json", wraps=serialize._read_json) as decoder:
+            assert outcome(parse_truth_table, document) == want
+        assert decoder.called is not gridded, (type(document), gridded)
+    return want
+
+
 @settings(max_examples=400, deadline=None)
 @given(truth_table_documents())
 def test_parser_matches_the_row_by_row_oracle(text):
     want = outcome(parse_truth_table_oracle, text)
-    got = outcome(parse_truth_table, text)
+    got = parsed_alike(text)
     if isinstance(got, TruthTable):
         k, n, rows, labels_by_weight = want
         assert (got.input_count, got.output_qubits, dict(got.rows)) == (k, n, rows)
@@ -387,7 +423,7 @@ def test_emitted_layout_is_read_without_the_json_decoder(monkeypatch, shuffle):
         text = join_rows(head, rows, tail)
         in_order = text == emit_truth_table(table)
         assert (serialize._read_emitted_layout(text) is None) == (not in_order)
-        parsed = parse_truth_table(text)
+        parsed = parsed_alike(text)
         assert parsed == table and parsed.labels_by_weight == table.labels_by_weight
 
 
@@ -463,7 +499,7 @@ def oracle_outcome(text):
 
 
 def assert_matches_the_oracle(text):
-    want, got = oracle_outcome(text), outcome(parse_truth_table, text)
+    want, got = oracle_outcome(text), parsed_alike(text)
     if isinstance(got, TruthTable):
         k, n, rows, labels_by_weight = want
         assert (got.input_count, got.output_qubits, dict(got.rows)) == (k, n, rows)
@@ -602,7 +638,7 @@ def test_counting_order_shuffled_and_repeated_keys_match_the_oracle(k, n, seed, 
     for layout in (rows, rng.permutation(rows).tolist(), repeated):
         text = join_rows(head, layout, tail)
         assert (serialize._read_emitted_layout(text) is None) == (layout != rows)
-        want, got = outcome(parse_truth_table_oracle, text), outcome(parse_truth_table, text)
+        want, got = outcome(parse_truth_table_oracle, text), parsed_alike(text)
         if isinstance(got, TruthTable):
             _, _, oracle_rows, labels_by_weight = want
             keys = itertools.product((0, 1), repeat=k)
