@@ -21,15 +21,13 @@ from pathlib import Path
 from typing import Any
 
 from .errors import QhcError, SynthesisError
-from .gates import BUILTINS, GateKind, cross_validate
+from .gates import BUILTINS, MAX_GRID_POINTS, GateKind, cross_validate
 from .report import resource_report
 from .serialize import matrix_text, parse_truth_table
 from .sim import BASIS_TOLERANCE, evaluate_continuous, input_sum
 from .synth import VERIFY_TOLERANCE, QhcGate, TruthTable, format_bits, synthesize, verify
 
 _BUILTIN_GATES = tuple(kind.value for kind in GateKind)
-# Upper bound on --grid; cross_validate allocates the whole grid at once.
-MAX_GRID_POINTS = 10**5
 
 
 def _read_table(path: str) -> TruthTable:
@@ -221,7 +219,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     verify_cmd = sub.add_parser("verify", help="check a built-in gate both ways")
     verify_cmd.add_argument("--gate", required=True, choices=_BUILTIN_GATES)
-    verify_cmd.add_argument("--grid", type=_grid, default=101, help="cross-check grid points")
+    verify_cmd.add_argument(
+        "--grid", type=_grid, default=101, help=f"cross-check grid points, 2 to {MAX_GRID_POINTS:,}"
+    )
     verify_cmd.add_argument("--tolerance", type=_tolerance, default=VERIFY_TOLERANCE)
     verify_cmd.set_defaults(handler=_cmd_verify)
 

@@ -18,9 +18,9 @@ from __future__ import annotations
 
 import math
 import operator
+from collections.abc import Sequence, Sized
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
 
 import numpy as np
 
@@ -54,6 +54,8 @@ class SpectralDecomposition:
             dim = operator.index(self.dim)
         except TypeError as exc:
             raise InvalidOrbit(f"dimension must be an integer: {exc}") from None
+        if not isinstance(self.orbit, Sized):  # None, a generator: no length to check first
+            raise InvalidOrbit(f"orbit must be a sequence of indices, got {self.orbit!r}")
         if not 1 <= len(self.orbit) <= MAX_ORBIT:
             raise InvalidOrbit(f"orbit must hold 1 to {MAX_ORBIT} states, got {len(self.orbit)}")
         try:

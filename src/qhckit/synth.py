@@ -43,7 +43,6 @@ MAX_INPUTS = 64
 MAX_OUTPUT_QUBITS = 20
 # Default entrywise tolerance of ``verify``, in the library and the command line.
 VERIFY_TOLERANCE = 1e-9
-Profile = tuple[frozenset[str], ...]  # a table's labels by input weight: labels_by_weight
 
 
 def format_bits(bits: Iterable[int]) -> str:
@@ -117,14 +116,14 @@ def _is_integral(kind: type) -> bool:
 class TableRows(Mapping):
     """A table's rows, read-only: input bits to output label, in counting order.
 
-    The one source of rows: ``walk`` and ``row`` read the label indices; the
-    label strings and the mapping's dict are built when first read.
+    The one source of rows: ``walk`` and ``row`` read the label indices and
+    the table's one string per label; the mapping's dict is built on first use.
     """
 
-    def __init__(self, input_count: int, label_indices: np.ndarray, profile: Profile) -> None:
+    def __init__(self, input_count: int, label_indices: np.ndarray, text: dict[int, str]) -> None:
         self._input_count = input_count
         self._label_indices = label_indices
-        self._profile = profile
+        self._text = text
 
     def __len__(self) -> int:
         return len(self._label_indices)
@@ -142,10 +141,6 @@ class TableRows(Mapping):
         position = range(len(self))[position]
         bits = tuple(map(int, index_to_label(position, self._input_count)))
         return bits, self._text[int(self._label_indices[position])]
-
-    @cached_property
-    def _text(self) -> dict[int, str]:
-        return {label_to_index(label): label for labels in self._profile for label in labels}
 
     @cached_property
     def _rows(self) -> dict[tuple[int, ...], str]:
@@ -181,7 +176,7 @@ class TruthTable:
     output_qubits: int
     rows: Mapping[tuple[int, ...], str] | np.ndarray
     label_indices: np.ndarray = field(init=False, repr=False, compare=False)
-    labels_by_weight: Profile = field(init=False, repr=False, compare=False)
+    labels_by_weight: tuple[frozenset[str], ...] = field(init=False, repr=False, compare=False)
 
     # Frozen, but its rows compare by value: declare the table unhashable outright.
     __hash__ = None
@@ -208,11 +203,13 @@ class TruthTable:
         weights = np.bitwise_count(np.arange(len(labels), dtype=np.uint64)).astype(np.uint32)
         pairs = np.sort(weights << n | label_indices)
         by_weight: list[set[str]] = [set() for _ in range(k + 1)]
+        text: dict[int, str] = {}  # one string per label, for the profile and the rows
         for pair in pairs[np.append(True, pairs[1:] != pairs[:-1])].tolist():
-            by_weight[pair >> n].add(index_to_label(pair & (2**n - 1), n))
+            index = pair & (2**n - 1)
+            by_weight[pair >> n].add(text.setdefault(index, index_to_label(index, n)))
         object.__setattr__(self, "label_indices", label_indices)
         object.__setattr__(self, "labels_by_weight", tuple(map(frozenset, by_weight)))
-        object.__setattr__(self, "rows", TableRows(k, label_indices, self.labels_by_weight))
+        object.__setattr__(self, "rows", TableRows(k, label_indices, text))
 
     @property
     def dim(self) -> int:

@@ -7,10 +7,11 @@ import scipy.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qhckit import TruthTable, full_adder_truth_table, half_adder_truth_table, synthesize
+from qhckit import TruthTable, full_adder_truth_table, gates, half_adder_truth_table, synthesize
 from qhckit.errors import InvalidParameter
 from qhckit.gates import (
     BUILTINS,
+    MAX_GRID_POINTS,
     GateKind,
     builtin_kind,
     cross_validate,
@@ -139,6 +140,29 @@ def test_cross_validate_grids():
     assert cross_validate(GateKind.FULL_ADDER, 2) < 1e-12
     with pytest.raises(InvalidParameter):
         cross_validate(GateKind.HALF_ADDER, 1)
+
+
+class GridBuilt(Exception):
+    """Raised by the spy in place of building a grid."""
+
+
+def test_cross_validate_refuses_a_grid_before_building_it(monkeypatch):
+    built = []
+
+    def spy(start, stop, num):
+        built.append(num)
+        raise GridBuilt
+
+    monkeypatch.setattr(gates.np, "linspace", spy)
+    for grid in (2, MAX_GRID_POINTS):
+        with pytest.raises(GridBuilt):
+            cross_validate(GateKind.FULL_ADDER, grid)
+    assert built == [2, MAX_GRID_POINTS]
+    # 10**12 points would be a 7.28 TiB array: refused by the count alone.
+    for grid in (1, MAX_GRID_POINTS + 1, 10**12):
+        with pytest.raises(InvalidParameter, match=f"2 to {MAX_GRID_POINTS} points"):
+            cross_validate(GateKind.FULL_ADDER, grid)
+    assert built == [2, MAX_GRID_POINTS]
 
 
 def test_builtin_truth_tables():

@@ -10,6 +10,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qhckit import linalg
 from qhckit.errors import InvalidOrbit, InvalidParameter
 from qhckit.linalg import (
     MAX_ORBIT,
@@ -201,8 +202,9 @@ def test_spectra_are_plain_values_of_dim_and_orbit():
     spectrum = cycle_spectrum((0, 1, 3), 4)
     assert [field.name for field in dataclasses.fields(spectrum)] == ["dim", "orbit"]
     twins = [cycle_spectrum([0, 1, 3], 4), SpectralDecomposition(4, (0, 1, 3))]
-    twins.append(SpectralDecomposition(4, [0, np.int64(1), 3]))  # held as a tuple of ints
+    twins.append(SpectralDecomposition(np.int64(4), [0, np.int64(1), 3]))  # held as Python ints
     assert all(twin == spectrum and hash(twin) == hash(spectrum) for twin in twins)
+    assert type(twins[2].dim) is int and set(map(type, twins[2].orbit)) == {int}
     assert {spectrum, *twins} == {spectrum}
     assert cycle_spectrum((0, 1, 3), 8) not in {spectrum}
     assert cycle_spectrum((0, 3, 1), 4) != spectrum
@@ -214,6 +216,7 @@ def test_unitarity_defect_values():
     assert unitarity_defect(np.eye(3)) == 0.0
     # the all-ones matrix has gram 2*ones: worst entry |2 - 0| = 2
     assert unitarity_defect(np.ones((2, 2))) == 2.0
+    assert unitarity_defect([[0, 1], [1, 0]]) == 0.0  # any array-like
     spectrum = cycle_spectrum((0, 1, 3), 4)
     assert unitarity_defect(exp_from_spectrum(spectrum, 0.37)) < 1e-12
 
@@ -303,3 +306,13 @@ def test_long_orbits_build_no_quadratic_arrays():
     finally:
         tracemalloc.stop()
     assert peak < 2**16
+
+
+def test_dense_cap_admits_its_own_dimension(monkeypatch):
+    # A dimension equal to the cap is built, one past it is not; a cap of 4 keeps both small.
+    monkeypatch.setattr(linalg, "MAX_DENSE_DIM", 4)
+    at_cap, past_cap = cycle_spectrum((0, 1, 3), 4), cycle_spectrum((0, 1, 3), 8)
+    for build in (lambda spectrum: exp_from_spectrum(spectrum, 0.5), hermitian_generator):
+        assert build(at_cap).shape == (4, 4)
+        with pytest.raises(InvalidParameter, match="exceeds the cap of 4"):
+            build(past_cap)

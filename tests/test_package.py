@@ -5,8 +5,15 @@ from pathlib import Path
 import pytest
 
 import qhckit
-from qhckit.errors import InitialStateMismatch, InvalidParameter, ParseError, ValidationError
-from qhckit.gates import GateKind, cross_validate, full_adder_truth_table
+from qhckit.errors import (
+    InitialStateMismatch,
+    InvalidOrbit,
+    InvalidParameter,
+    ParseError,
+    ValidationError,
+)
+from qhckit.gates import MAX_GRID_POINTS, GateKind, cross_validate, full_adder_truth_table
+from qhckit.linalg import cycle_spectrum
 from qhckit.serialize import emit_matrix, matrix_text, parse_truth_table
 from qhckit.sim import decode
 from qhckit.synth import TruthTable, find_cycle, synthesize, verify
@@ -58,6 +65,18 @@ ENTRY_POINT_FAULTS = {
     ),
     "cross_validate-fractional-grid": (
         lambda: cross_validate(GateKind.HALF_ADDER, 2.5), InvalidParameter
+    ),
+    # Refused by the count, before the grid is allocated (10**12 points are 7.28 TiB).
+    **{
+        f"cross_validate-grid-{name}": (
+            lambda grid=grid: cross_validate(GateKind.HALF_ADDER, grid), InvalidParameter
+        )
+        for name, grid in (("over-cap", MAX_GRID_POINTS + 1), ("10**12", 10**12))
+    },
+    # An orbit with no length: refused before it is read.
+    "cycle_spectrum-none-orbit": (lambda: cycle_spectrum(None, 4), InvalidOrbit),
+    "cycle_spectrum-generator-orbit": (
+        lambda: cycle_spectrum((i for i in range(2)), 4), InvalidOrbit
     ),
     "find_cycle-no-outputs": (lambda: find_cycle(()), InitialStateMismatch),
     "find_cycle-not-iterable": (lambda: find_cycle(5), ValidationError),

@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 from qhckit import evaluate_continuous, full_adder_truth_table, half_adder_truth_table, synthesize
 from qhckit.errors import DimensionError, InvalidParameter, NonUnitaryError
 from qhckit.gates import full_adder_closed_form, half_adder_closed_form
-from qhckit.sim import DecodedOutcome, apply, decode, input_sum
+from qhckit.linalg import unitarity_defect
+from qhckit.sim import UNITARITY_TOLERANCE, DecodedOutcome, apply, decode, input_sum
 from qhckit.synth import index_to_label
 
 from oracles import orbit_column_fft, orbit_permutation, weight_table
@@ -31,6 +32,9 @@ def test_apply_basics():
     assert np.max(np.abs(out - np.array([0, 0, 0, 1], dtype=complex))) < 1e-12
     e3 = np.array([0, 0, 0, 1], dtype=complex)
     assert np.max(np.abs(apply(orbit_permutation((0, 1, 2, 3), 4), e3) - e0)) == 0
+    # Nested lists are array-likes too; the state comes back complex.
+    out = apply([[0, 1], [1, 0]], [1, 0])
+    assert out.dtype == complex and out.tolist() == [0, 1]
 
 
 def test_apply_rejects_bad_operands():
@@ -41,6 +45,10 @@ def test_apply_rejects_bad_operands():
         apply(np.zeros((4, 3)), e0)
     with pytest.raises(NonUnitaryError):
         apply(np.ones((4, 4)), e0)
+    # A defect equal to the tolerance is still accepted: the gram's off-diagonal is exact.
+    skewed = np.array([[1.0, 0.0], [UNITARITY_TOLERANCE, 1.0]])
+    assert unitarity_defect(skewed) == UNITARITY_TOLERANCE
+    assert apply(skewed, [1, 0]).tolist() == [1, UNITARITY_TOLERANCE]
 
 
 def test_apply_preserves_norm():

@@ -240,7 +240,7 @@ def test_find_cycle_half_and_full():
 def test_find_cycle_rejections():
     with pytest.raises(NotSymmetric):
         find_cycle(None)
-    with pytest.raises(InitialStateMismatch):
+    with pytest.raises(InitialStateMismatch, match="all-zero state, got '01'$"):
         find_cycle(("01", "00"))
     # weight-1 and weight-2 outputs coincide but differ from weight 0:
     # the walk would need to stall, which no permutation does
