@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 import operator
-from collections.abc import Sequence, Sized
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -39,11 +39,11 @@ class SpectralDecomposition:
 
     ``angles[j]`` belongs to the discrete Fourier vector whose entry at
     ``orbit[m]`` is ``exp(-2*pi*i*j*m/L) / sqrt(L)`` and which is zero off
-    the orbit.  Every basis state off the orbit is an eigenvector with angle
-    exactly 0.  The L on-orbit angles are derived from L, not stored (read-only,
-    shared by every L-cycle), so a spectrum is a plain hashable value.  A
-    dimension that is not a positive integer, or an orbit other than 1 to
-    ``MAX_ORBIT`` distinct integers in [0, dim), is ``InvalidOrbit``.
+    the orbit; every state off it is an eigenvector with angle exactly 0.  The
+    L on-orbit angles derive from L (read-only, shared by every L-cycle), so a
+    spectrum is a plain hashable value.  A dimension that is not a positive
+    integer, or an orbit other than an ordered sequence (no set or dict) of 1
+    to ``MAX_ORBIT`` distinct integers in [0, dim), is ``InvalidOrbit``.
     """
 
     dim: int
@@ -54,7 +54,7 @@ class SpectralDecomposition:
             dim = operator.index(self.dim)
         except TypeError as exc:
             raise InvalidOrbit(f"dimension must be an integer: {exc}") from None
-        if not isinstance(self.orbit, Sized):  # None, a generator: no length to check first
+        if not isinstance(self.orbit, (Sequence, np.ndarray)):  # a set or dict has no order
             raise InvalidOrbit(f"orbit must be a sequence of indices, got {self.orbit!r}")
         if not 1 <= len(self.orbit) <= MAX_ORBIT:
             raise InvalidOrbit(f"orbit must hold 1 to {MAX_ORBIT} states, got {len(self.orbit)}")

@@ -134,8 +134,11 @@ def evaluate_continuous(
     the inputs and rounds their sum correctly, so it does not depend on their
     order.  Boolean inputs reproduce the synthesized truth table as sharp basis
     outcomes; anything else generally lands in a superposition.  The state is
-    read on the gate's orbit, where all its amplitude lies.
+    read on the gate's orbit, where all its amplitude lies.  A gate that is
+    not a ``QhcGate`` is ``InvalidParameter``.
     """
+    if not isinstance(gate, QhcGate):
+        raise InvalidParameter(f"gate must be a QhcGate, got {type(gate).__name__}")
     try:
         inputs = list(inputs)  # a generator is read once, then counted
     except TypeError:  # not iterable: input_sum refuses it

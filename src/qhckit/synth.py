@@ -221,7 +221,8 @@ class QhcGate:
     """A synthesized continuous gate: its basis cycle and its input count.
 
     ``cycle`` is the spectrum of the permutation that cycles the gate's
-    orbit, which starts at the all-zero state.
+    orbit, which starts at the all-zero state.  ``input_count`` is an integer
+    from 1 to ``MAX_INPUTS``, as a table's is; any other is ``InvalidParameter``.
     """
 
     cycle: SpectralDecomposition
@@ -230,6 +231,8 @@ class QhcGate:
     def __post_init__(self) -> None:
         if self.cycle.orbit[0] != 0:
             raise InvalidOrbit(f"orbit must start at index 0, got {self.cycle.orbit}")
+        if not (_is_integral(type(self.input_count)) and 1 <= self.input_count <= MAX_INPUTS):
+            raise InvalidParameter(f"gate takes 1 to {MAX_INPUTS} inputs, not {self.input_count!r}")
 
     @property
     def dim(self) -> int:
@@ -291,6 +294,8 @@ def find_cycle(weight_outputs: tuple[str, ...] | None) -> tuple[int, ...]:
 
 def synthesize(table: TruthTable) -> QhcGate:
     """Build the continuous gate realizing a symmetric truth table."""
+    if not isinstance(table, TruthTable):
+        raise ValidationError(f"table must be a TruthTable, got {type(table).__name__}")
     orbit = find_cycle(analyze_symmetry(table))
     return QhcGate(cycle=cycle_spectrum(orbit, table.dim), input_count=table.input_count)
 
@@ -358,8 +363,14 @@ def verify(
     orbit position ``w mod L``, so a row of weight ``w`` deviates by 0.0 if
     its label is that state's and by 1.0 if not; no state is evolved.  The
     report passes when no row deviates and 0.0 is within ``tolerance``; a
-    tolerance that does not compare with a float is ``InvalidParameter``.
+    tolerance that does not compare with a float is ``InvalidParameter``, as
+    is a gate that is not a ``QhcGate``; a table not a ``TruthTable`` is
+    ``ValidationError``.
     """
+    if not isinstance(gate, QhcGate):
+        raise InvalidParameter(f"gate must be a QhcGate, got {type(gate).__name__}")
+    if not isinstance(table, TruthTable):
+        raise ValidationError(f"table must be a TruthTable, got {type(table).__name__}")
     try:
         within = bool(0.0 <= tolerance)  # False for NaN and negatives
     except (TypeError, ValueError):  # None, "x", 1j, an array, ...

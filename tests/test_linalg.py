@@ -203,8 +203,11 @@ def test_spectra_are_plain_values_of_dim_and_orbit():
     assert [field.name for field in dataclasses.fields(spectrum)] == ["dim", "orbit"]
     twins = [cycle_spectrum([0, 1, 3], 4), SpectralDecomposition(4, (0, 1, 3))]
     twins.append(SpectralDecomposition(np.int64(4), [0, np.int64(1), 3]))  # held as Python ints
+    twins.append(cycle_spectrum(np.array([0, 1, 3]), 4))  # any ordered sequence, arrays too
     assert all(twin == spectrum and hash(twin) == hash(spectrum) for twin in twins)
-    assert type(twins[2].dim) is int and set(map(type, twins[2].orbit)) == {int}
+    assert all(set(map(type, twin.orbit)) == {int} for twin in twins[2:])
+    assert type(twins[2].dim) is int
+    assert cycle_spectrum(range(3), 4) == cycle_spectrum((0, 1, 2), 4)
     assert {spectrum, *twins} == {spectrum}
     assert cycle_spectrum((0, 1, 3), 8) not in {spectrum}
     assert cycle_spectrum((0, 3, 1), 4) != spectrum

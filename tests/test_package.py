@@ -15,8 +15,8 @@ from qhckit.errors import (
 from qhckit.gates import MAX_GRID_POINTS, GateKind, cross_validate, full_adder_truth_table
 from qhckit.linalg import cycle_spectrum
 from qhckit.serialize import emit_matrix, matrix_text, parse_truth_table
-from qhckit.sim import decode
-from qhckit.synth import TruthTable, find_cycle, synthesize, verify
+from qhckit.sim import decode, evaluate_continuous
+from qhckit.synth import QhcGate, TruthTable, find_cycle, synthesize, verify
 
 
 def test_star_import_matches_all():
@@ -78,6 +78,28 @@ ENTRY_POINT_FAULTS = {
     "cycle_spectrum-generator-orbit": (
         lambda: cycle_spectrum((i for i in range(2)), 4), InvalidOrbit
     ),
+    # An orbit with no order: its iteration order would pick the cycle's direction.
+    **{
+        f"cycle_spectrum-{name}-orbit": (
+            lambda orbit=orbit: cycle_spectrum(orbit, 16), InvalidOrbit
+        )
+        for name, orbit in (
+            ("set", {0, 9, 3}),
+            ("frozenset", frozenset({0, 1})),
+            ("dict", {9: 1, 0: 1}),
+            ("dict-keys", {0: 1}.keys()),
+        )
+    },
+    **{
+        f"QhcGate-input-count-{count}": (
+            lambda count=count: QhcGate(FULL_ADDER_GATE.cycle, count), InvalidParameter
+        )
+        for count in (-1, 0, "x")
+    },
+    "synthesize-none-table": (lambda: synthesize(None), ValidationError),
+    "verify-none-table": (lambda: verify(FULL_ADDER_GATE, None), ValidationError),
+    "verify-cycle-as-gate": (lambda: verify(FULL_ADDER_GATE.cycle, FULL_ADDER), InvalidParameter),
+    "evaluate_continuous-none-gate": (lambda: evaluate_continuous(None, (1, 0)), InvalidParameter),
     "find_cycle-no-outputs": (lambda: find_cycle(()), InitialStateMismatch),
     "find_cycle-not-iterable": (lambda: find_cycle(5), ValidationError),
     "find_cycle-bare-string": (lambda: find_cycle("01"), ValidationError),

@@ -27,6 +27,7 @@ from qhckit.errors import (
     DimensionError,
     InitialStateMismatch,
     InvalidOrbit,
+    InvalidParameter,
     NonEmbeddable,
     NotSymmetric,
     SynthesisError,
@@ -35,6 +36,7 @@ from qhckit.errors import (
 from qhckit.linalg import cycle_spectrum, orbit_column
 from qhckit.serialize import emit_truth_table
 from qhckit.synth import (
+    MAX_INPUTS,
     VERIFY_TOLERANCE,
     QhcGate,
     RowCheck,
@@ -301,6 +303,15 @@ def test_gate_rejects_orbit_not_starting_at_zero():
     with pytest.raises(InvalidOrbit, match="start at index 0"):
         QhcGate(cycle_spectrum((2, 0, 1, 3), 4), input_count=2)
     assert QhcGate(cycle_spectrum((0, 1, 3), 4), input_count=2).length == 3
+
+
+def test_gate_input_count_is_one_to_max_inputs():
+    # A table's input count has the same range, so every synthesized gate is admitted.
+    cycle = cycle_spectrum((0, 1, 3), 4)
+    assert [QhcGate(cycle, count).input_count for count in (1, MAX_INPUTS)] == [1, MAX_INPUTS]
+    for count in (MAX_INPUTS + 1, 2.0, None):
+        with pytest.raises(InvalidParameter, match=f"^gate takes 1 to {MAX_INPUTS} inputs"):
+            QhcGate(cycle, count)
 
 
 def test_verify_passes_builtin_tables():
