@@ -21,11 +21,11 @@ from pathlib import Path
 from typing import Any
 
 from .errors import QhcError, SynthesisError
-from .gates import BUILTINS, MAX_GRID_POINTS, GateKind, cross_validate
+from .gates import BUILTINS, MAX_GRID_POINTS, VERIFY_TOLERANCE, GateKind, cross_validate
 from .report import resource_report
 from .serialize import matrix_text, parse_truth_table
 from .sim import BASIS_TOLERANCE, evaluate_continuous, input_sum
-from .synth import VERIFY_TOLERANCE, QhcGate, TruthTable, format_bits, synthesize, verify
+from .synth import QhcGate, TruthTable, format_bits, synthesize, verify
 
 _BUILTIN_GATES = tuple(kind.value for kind in GateKind)
 
@@ -72,7 +72,7 @@ def _grid(text: str) -> int:
 def _cmd_synth(args: argparse.Namespace) -> int:
     table = _read_table(args.table)
     gate = synthesize(table)
-    check = verify(gate, table, tolerance=args.tolerance)
+    check = verify(gate, table)
     doc: dict[str, Any] = {
         "table": {"inputs": table.input_count, "output_qubits": table.output_qubits},
         "cycle": {
@@ -90,13 +90,12 @@ def _cmd_synth(args: argparse.Namespace) -> int:
         with open(args.emit_h, "w", encoding="utf-8") as out:
             out.writelines(generator)
         doc["generator_file"] = args.emit_h
-    if args.emit_u is None:
-        _emit(doc)
-    else:  # "unitary" is the last key: its text is written around the streamed matrix.
-        sys.stdout.write(json.dumps(doc, indent=2, allow_nan=False).removesuffix("\n}"))
+    sys.stdout.write(json.dumps(doc, indent=2, allow_nan=False).removesuffix("\n}"))
+    if args.emit_u is not None:  # "unitary" is the last key: written around the streamed matrix.
         sys.stdout.write(f',\n  "unitary": {{\n    "parameter": {args.emit_u!r},\n    "matrix": ')
         sys.stdout.writelines(unitary)
-        sys.stdout.write("\n  }\n}\n")
+        sys.stdout.write("\n  }")
+    sys.stdout.write("\n}\n")
     return 0 if check.passed else 1
 
 
@@ -121,7 +120,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     kind = GateKind(args.gate)
     table = BUILTINS[kind].truth_table()
     gate: QhcGate = synthesize(table)
-    check = verify(gate, table, tolerance=args.tolerance)
+    check = verify(gate, table)
     gap = cross_validate(kind, args.grid)
     passed = check.passed and gap <= args.tolerance
     _emit(

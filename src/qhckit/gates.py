@@ -130,6 +130,7 @@ HALF_ADDER_ORBIT = find_cycle(BUILTINS[GateKind.HALF_ADDER].weight_labels)
 FULL_ADDER_ORBIT = find_cycle(BUILTINS[GateKind.FULL_ADDER].weight_labels)
 
 MAX_GRID_POINTS = 10**5  # most points cross_validate takes: it builds the whole grid at once
+VERIFY_TOLERANCE = 1e-9  # the acceptance bar on cross_validate's gap; the command line's default
 
 
 def builtin_kind(table: TruthTable) -> GateKind | None:
@@ -144,7 +145,7 @@ def cross_validate(kind: GateKind, grid_points: int) -> float:
     Sweeps the parameter sum over ``grid_points`` uniform samples of one
     full period [0, L] (L = 3 for the half adder, 4 for the full adder) and
     compares the explicit matrix formula against the gate synthesized from
-    the truth table.  Agreement within 1e-9 is the acceptance bar.
+    the truth table.  Agreement within ``VERIFY_TOLERANCE`` is the acceptance bar.
     """
     if not isinstance(kind, GateKind):
         raise InvalidParameter(f"unknown gate kind {kind!r}")

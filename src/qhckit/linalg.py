@@ -42,8 +42,8 @@ class SpectralDecomposition:
     the orbit; every state off it is an eigenvector with angle exactly 0.  The
     L on-orbit angles derive from L (read-only, shared by every L-cycle), so a
     spectrum is a plain hashable value.  A dimension that is not a positive
-    integer, or an orbit other than an ordered sequence (no set or dict) of 1
-    to ``MAX_ORBIT`` distinct integers in [0, dim), is ``InvalidOrbit``.
+    integer, or an orbit other than a sequence or 1-D array (no set or dict)
+    of 1 to ``MAX_ORBIT`` distinct integers in [0, dim), is ``InvalidOrbit``.
     """
 
     dim: int
@@ -54,12 +54,13 @@ class SpectralDecomposition:
             dim = operator.index(self.dim)
         except TypeError as exc:
             raise InvalidOrbit(f"dimension must be an integer: {exc}") from None
-        if not isinstance(self.orbit, (Sequence, np.ndarray)):  # a set or dict has no order
-            raise InvalidOrbit(f"orbit must be a sequence of indices, got {self.orbit!r}")
-        if not 1 <= len(self.orbit) <= MAX_ORBIT:
-            raise InvalidOrbit(f"orbit must hold 1 to {MAX_ORBIT} states, got {len(self.orbit)}")
+        orbit = self.orbit  # a set or dict has no order, and a 0-D array no length
+        if not (isinstance(orbit, Sequence) or isinstance(orbit, np.ndarray) and orbit.ndim == 1):
+            raise InvalidOrbit(f"orbit must be a sequence of indices, got {orbit!r}")
+        if not 1 <= len(orbit) <= MAX_ORBIT:
+            raise InvalidOrbit(f"orbit must hold 1 to {MAX_ORBIT} states, got {len(orbit)}")
         try:
-            orbit = tuple(map(operator.index, self.orbit))
+            orbit = tuple(map(operator.index, orbit))
         except TypeError as exc:
             raise InvalidOrbit(f"orbit indices must be integers: {exc}") from None
         if len(set(orbit)) != len(orbit):

@@ -41,8 +41,6 @@ _BIT_VALUES = frozenset((0, 1))
 # 2^64 rows, and a state vector of 2^20 entries is already 16 MiB.
 MAX_INPUTS = 64
 MAX_OUTPUT_QUBITS = 20
-# Default entrywise tolerance of ``verify``, in the library and the command line.
-VERIFY_TOLERANCE = 1e-9
 
 
 def format_bits(bits: Iterable[int]) -> str:
@@ -222,13 +220,16 @@ class QhcGate:
 
     ``cycle`` is the spectrum of the permutation that cycles the gate's
     orbit, which starts at the all-zero state.  ``input_count`` is an integer
-    from 1 to ``MAX_INPUTS``, as a table's is; any other is ``InvalidParameter``.
+    from 1 to ``MAX_INPUTS``, as a table's is.  Any other count, or a cycle
+    that is not a ``SpectralDecomposition``, is ``InvalidParameter``.
     """
 
     cycle: SpectralDecomposition
     input_count: int
 
     def __post_init__(self) -> None:
+        if not isinstance(self.cycle, SpectralDecomposition):
+            raise InvalidParameter(f"cycle must be a SpectralDecomposition, got {self.cycle!r}")
         if self.cycle.orbit[0] != 0:
             raise InvalidOrbit(f"orbit must start at index 0, got {self.cycle.orbit}")
         if not (_is_integral(type(self.input_count)) and 1 <= self.input_count <= MAX_INPUTS):
@@ -255,8 +256,11 @@ class QhcGate:
 def analyze_symmetry(table: TruthTable) -> tuple[str, ...] | None:
     """The shared output label of each input weight, or None if a weight disagrees.
 
-    Entry ``w`` is the output of every input with exactly ``w`` ones.
+    Entry ``w`` is the output of every input with exactly ``w`` ones.  A
+    table that is not a ``TruthTable`` is ``ValidationError``.
     """
+    if not isinstance(table, TruthTable):
+        raise ValidationError(f"table must be a TruthTable, got {type(table).__name__}")
     if any(len(labels) != 1 for labels in table.labels_by_weight):
         return None
     return tuple(next(iter(labels)) for labels in table.labels_by_weight)
@@ -294,8 +298,6 @@ def find_cycle(weight_outputs: tuple[str, ...] | None) -> tuple[int, ...]:
 
 def synthesize(table: TruthTable) -> QhcGate:
     """Build the continuous gate realizing a symmetric truth table."""
-    if not isinstance(table, TruthTable):
-        raise ValidationError(f"table must be a TruthTable, got {type(table).__name__}")
     orbit = find_cycle(analyze_symmetry(table))
     return QhcGate(cycle=cycle_spectrum(orbit, table.dim), input_count=table.input_count)
 
@@ -354,27 +356,19 @@ class VerificationReport:
     max_deviation: float
 
 
-def verify(
-    gate: QhcGate, table: TruthTable, tolerance: float = VERIFY_TOLERANCE
-) -> VerificationReport:
+def verify(gate: QhcGate, table: TruthTable) -> VerificationReport:
     """Check every table row against the gate at integer ``s``, by label.
 
     At ``s = w`` the gate sends the all-zero state exactly to the state at
     orbit position ``w mod L``, so a row of weight ``w`` deviates by 0.0 if
     its label is that state's and by 1.0 if not; no state is evolved.  The
-    report passes when no row deviates and 0.0 is within ``tolerance``; a
-    tolerance that does not compare with a float is ``InvalidParameter``, as
-    is a gate that is not a ``QhcGate``; a table not a ``TruthTable`` is
-    ``ValidationError``.
+    report passes when no row deviates.  A gate that is not a ``QhcGate`` is
+    ``InvalidParameter``; a table not a ``TruthTable`` is ``ValidationError``.
     """
     if not isinstance(gate, QhcGate):
         raise InvalidParameter(f"gate must be a QhcGate, got {type(gate).__name__}")
     if not isinstance(table, TruthTable):
         raise ValidationError(f"table must be a TruthTable, got {type(table).__name__}")
-    try:
-        within = bool(0.0 <= tolerance)  # False for NaN and negatives
-    except (TypeError, ValueError):  # None, "x", 1j, an array, ...
-        raise InvalidParameter(f"tolerance must be a real number, got {tolerance!r}") from None
     if gate.dim != table.dim:
         raise DimensionError(
             f"gate dimension {gate.dim} does not match table dimension {table.dim}"
@@ -382,14 +376,17 @@ def verify(
     orbit_labels = [index_to_label(index, table.output_qubits) for index in gate.cycle.orbit]
     obtained = [orbit_labels[w % gate.length] for w in range(table.input_count + 1)]
     worst = float(any(labels != {got} for labels, got in zip(table.labels_by_weight, obtained)))
-    return VerificationReport(RowChecks(table, obtained), worst == 0 and within, worst)
+    return VerificationReport(RowChecks(table, obtained), worst == 0, worst)
 
 
 def qubit_count(table: TruthTable) -> int:
     """Fewest output qubits whose basis can hold the table's distinct outputs.
 
     Equals ceil(log2 of the distinct-output count); a constant table needs
-    zero qubits even though its labels may be written wider.
+    zero qubits even though its labels may be written wider.  A table that
+    is not a ``TruthTable`` is ``ValidationError``.
     """
+    if not isinstance(table, TruthTable):
+        raise ValidationError(f"table must be a TruthTable, got {type(table).__name__}")
     distinct = len(frozenset().union(*table.labels_by_weight))
     return (distinct - 1).bit_length()

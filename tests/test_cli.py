@@ -269,13 +269,23 @@ def test_verify_passes_at_a_gap_equal_to_its_tolerance(capsys, monkeypatch):
 
 
 def test_synth_exits_1_when_verification_fails(half_table_file, capsys, monkeypatch):
-    # synthesize returns only gates that verify at any tolerance the command
-    # line takes; the library's verify fails every report at a negative one.
-    monkeypatch.setattr(
-        "qhckit.cli.verify", lambda gate, table, tolerance: verify(gate, table, tolerance=-1.0)
-    )
+    # synthesize returns only gates that verify against their own table, so the
+    # report is taken against a copy of it with one wrong label.
+    def verify_wrong_label(gate, table):
+        wrong = {**table.rows, (1, 1): "00"}
+        return verify(gate, TruthTable(table.input_count, table.output_qubits, wrong))
+
+    monkeypatch.setattr("qhckit.cli.verify", verify_wrong_label)
     code, out, _ = run_cli(["synth", "--table", half_table_file], capsys)
     assert (code, json.loads(out)["verification"]["passed"]) == (1, False)
+
+
+@pytest.mark.parametrize("tolerance", ["0", "1e-9"])
+def test_synth_takes_a_tolerance_and_prints_the_same_report(tolerance, half_table_file, capsys):
+    # synth validates --tolerance but has nothing to bound with it yet.
+    plain = run_cli(["synth", "--table", half_table_file], capsys)
+    assert plain[0] == 0
+    assert run_cli(["synth", "--table", half_table_file, "--tolerance", tolerance], capsys) == plain
 
 
 def test_verify_accepts_grid_at_the_cap(capsys, monkeypatch):

@@ -2,6 +2,7 @@ import ast
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import qhckit
@@ -12,11 +13,25 @@ from qhckit.errors import (
     ParseError,
     ValidationError,
 )
-from qhckit.gates import MAX_GRID_POINTS, GateKind, cross_validate, full_adder_truth_table
+from qhckit.gates import (
+    MAX_GRID_POINTS,
+    GateKind,
+    builtin_kind,
+    cross_validate,
+    full_adder_truth_table,
+)
 from qhckit.linalg import cycle_spectrum
+from qhckit.report import resource_report
 from qhckit.serialize import emit_matrix, matrix_text, parse_truth_table
 from qhckit.sim import decode, evaluate_continuous
-from qhckit.synth import QhcGate, TruthTable, find_cycle, synthesize, verify
+from qhckit.synth import (
+    QhcGate,
+    analyze_symmetry,
+    find_cycle,
+    qubit_count,
+    synthesize,
+    verify,
+)
 
 
 def test_star_import_matches_all():
@@ -46,8 +61,6 @@ def test_readme_library_example_runs_and_imports_all(capsys):
 
 FULL_ADDER = full_adder_truth_table()
 FULL_ADDER_GATE = synthesize(FULL_ADDER)
-# The full adder's table with one label changed, so verify finds a deviating row.
-WRONG_FULL_ADDER = TruthTable(3, 2, {**FULL_ADDER.rows, (0, 1, 1): "00"})
 
 ENTRY_POINT_FAULTS = {
     "emit_matrix-text-cell": (lambda: emit_matrix([["a"]]), InvalidParameter),
@@ -103,14 +116,13 @@ ENTRY_POINT_FAULTS = {
     "find_cycle-no-outputs": (lambda: find_cycle(()), InitialStateMismatch),
     "find_cycle-not-iterable": (lambda: find_cycle(5), ValidationError),
     "find_cycle-bare-string": (lambda: find_cycle("01"), ValidationError),
+    # Each table reader refuses a non-table itself, before it reads the table.
     **{
-        f"verify-{name}-tolerance-{kind}-table": (
-            lambda table=table, tolerance=tolerance: verify(FULL_ADDER_GATE, table, tolerance),
-            InvalidParameter,
-        )
-        for name, tolerance in (("text", "x"), ("none", None), ("complex", 1j))
-        for kind, table in (("passing", FULL_ADDER), ("failing", WRONG_FULL_ADDER))
+        f"{call.__name__}-none-table": (lambda call=call: call(None), ValidationError)
+        for call in (analyze_symmetry, qubit_count, builtin_kind, resource_report)
     },
+    "QhcGate-none-cycle": (lambda: QhcGate(None, 2), InvalidParameter),
+    "cycle_spectrum-0-d-array-orbit": (lambda: cycle_spectrum(np.array(5), 4), InvalidOrbit),
 }
 
 
